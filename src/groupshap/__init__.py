@@ -14,7 +14,6 @@ from .errors import (
     ModelParseError,
     SampleTooSmall,
     ShapeError,
-    SingularCovariance,
     TargetRequired,
 )
 from .experiments import (
@@ -44,14 +43,12 @@ from .inference import (
 )
 from .shapley import (
     FeatureGrouping,
-    GroupWeights,
     ShapMatrix,
     base_value,
     exact_group_shapley,
     exact_individual_shapley,
     read_grouping_file,
     read_shap_csv,
-    shap_weights,
     tree_group_shap,
     value_function,
 )

@@ -8,6 +8,8 @@ run.json config echo so results can be reproduced bit for bit.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import secrets
@@ -24,11 +26,9 @@ from .errors import (
     GroupingError,
     GroupShapError,
     InvalidCorrelation,
-    ModelInvariantError,
-    ModelParseError,
+    ModelFileError,
     SampleTooSmall,
     ShapeError,
-    SingularCovariance,
     TargetRequired,
 )
 from .experiments import (
@@ -40,7 +40,7 @@ from .experiments import (
     run_power_grid,
     run_size_grid,
 )
-from .inference import TestReport, group_joint_test, run_tests_from_moments, moments
+from .inference import TESTS, TestReport, group_joint_test
 from .shapley import (
     FeatureGrouping,
     ShapMatrix,
@@ -68,8 +68,7 @@ EXIT_DEGENERATE = 3
 _DATA_ERRORS = (
     DataError,
     TargetRequired,
-    ModelParseError,
-    ModelInvariantError,
+    ModelFileError,
     GroupingError,
     ShapeError,
     CoalitionBudgetExceeded,
@@ -79,10 +78,13 @@ _DATA_ERRORS = (
 _DEGENERATE_ERRORS = (
     SampleTooSmall,
     DegenerateVariance,
-    SingularCovariance,
     AREUnavailable,
     DegenerateConcentration,
 )
+
+
+class _UsageError(Exception):
+    """A flag or config value the command cannot run with (exit 1)."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -125,6 +127,16 @@ def _int_list(text: str) -> list[int]:
 
 def _float_list(text: str) -> list[float]:
     return [float(item) for item in _csv_list(text)]
+
+
+def _checked_tests(text: str, alpha: float) -> tuple[str, ...]:
+    """The --tests list, after checking it and alpha."""
+    tests = tuple(_csv_list(text))
+    if not tests or not set(tests) <= set(TESTS):
+        raise _UsageError(f"--tests {text!r}: choose one or more of {','.join(TESTS)}")
+    if not 0.0 < alpha < 1.0:
+        raise _UsageError(f"alpha must be in (0, 1), got {alpha!r}")
+    return tests
 
 
 # --------------------------------------------------------------------------
@@ -218,9 +230,11 @@ def _format_reports(reports: list[TestReport], fmt: str) -> str:
         )
     cols = ["test", "group", "statistic", "df", "p_value", "significant", "degenerate"]
     if fmt == "csv":
-        lines = [",".join(cols)]
-        lines += [",".join(str(r[c]) for c in cols) for r in rows]
-        return "\n".join(lines) + "\n"
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(cols)
+        w.writerows([r[c] for c in cols] for r in rows)
+        return buf.getvalue()
     disp = []
     for r in rows:
         d = dict(r)
@@ -237,16 +251,13 @@ def _format_reports(reports: list[TestReport], fmt: str) -> str:
 
 
 def _cmd_test(args) -> int:
-    tests = _csv_list(args.tests)
+    tests = _checked_tests(args.tests, args.alpha)
     if args.shap:
         shap = read_shap_csv(args.shap)
-        reports = []
-        for j, name in enumerate(shap.group_names):
-            m = moments(shap.values[:, [j]])
-            for rep in run_tests_from_moments(m, args.alpha, tests):
-                rep.group = name
-                rep.details["mode"] = "reduced"
-                reports.append(rep)
+        grouping = FeatureGrouping.singletons(len(shap.group_names), shap.group_names)
+        reports = group_joint_test(
+            shap.values, grouping, alpha=args.alpha, mode="reduced", tests=tests
+        )
     else:
         ishap = read_shap_csv(args.individual_shap)
         grouping = read_grouping_file(args.groups, list(ishap.group_names))
@@ -267,7 +278,6 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    seed = _resolve_seed(args.seed)
     overrides = read_simspec_file(args.config) if args.config else {}
     models = _csv_list(args.models) if args.models else [overrides.get("model", "normal")]
     ks = _int_list(args.k) if args.k else [overrides.get("k", 20)]
@@ -275,7 +285,8 @@ def _cmd_simulate(args) -> int:
     reps = args.reps if args.reps is not None else overrides.get("replications", 2000)
     alpha = args.alpha if args.alpha is not None else overrides.get("alpha", 0.05)
     sigma2 = args.sigma2 if args.sigma2 is not None else overrides.get("sigma2", 4.0)
-    tests = tuple(_csv_list(args.tests))
+    tests = _checked_tests(args.tests, alpha)
+    seed = _resolve_seed(args.seed)
     if args.profile == "paper":
         models = ["normal", "symmetric", "skewed"]
         ks = [20, 100, 500]
@@ -286,14 +297,14 @@ def _cmd_simulate(args) -> int:
         if args.profile == "paper":
             rhos = [0.2, 0.5, 0.8]
         specs = grid_specs(models, ks, ss, rhos, "null", reps, seed, alpha, sigma2)
-        result = run_size_grid(specs, tests, threads=args.threads, master_seed=seed)
+        result = run_size_grid(specs, tests, master_seed=seed)
     else:
         rhos = _float_list(args.rho) if args.rho else [0.5]
         alternatives = _csv_list(args.alternatives)
         specs = []
         for alt in alternatives:
             specs.extend(grid_specs(models, ks, ss, rhos, alt, reps, seed, alpha, sigma2))
-        result = run_power_grid(specs, tests, threads=args.threads, master_seed=seed)
+        result = run_power_grid(specs, tests, master_seed=seed)
     written = emit_tables(result, args.out, tests)
     _write_run_config(args.out, args, seed=seed, outputs=written)
     for path in written:
@@ -463,7 +474,6 @@ def build_parser() -> _Parser:
     p.add_argument("--alternatives", default="sparse,dense", help="power shifts to run")
     p.add_argument("--tests", default="wald,cq,gs")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=os.cpu_count())
     p.add_argument("--config", default=None, help="key = value SimSpec file")
     p.add_argument("--profile", choices=("paper",), default=None,
                    help="full study grid at 10000 replications")
@@ -495,6 +505,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except _UsageError as exc:
+        print(f"groupshap {args.command}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except _DEGENERATE_ERRORS as exc:
         print(f"groupshap {args.command}: degenerate statistics: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

@@ -13,36 +13,28 @@ class ShapeError(GroupShapError):
     """Input dimensions do not match the model or each other."""
 
 
-class ModelParseError(GroupShapError):
+class ModelFileError(GroupShapError):
+    """A model file problem, located at a tree and node where known."""
+
+    def __init__(self, message, tree_index=None, node_index=None):
+        loc = []
+        if tree_index is not None:
+            loc.append(f"tree {tree_index}")
+        if node_index is not None:
+            loc.append(f"node {node_index}")
+        if loc:
+            message = f"{message} ({', '.join(loc)})"
+        super().__init__(message)
+        self.tree_index = tree_index
+        self.node_index = node_index
+
+
+class ModelParseError(ModelFileError):
     """A model file is structurally malformed."""
 
-    def __init__(self, message, tree_index=None, node_index=None):
-        loc = []
-        if tree_index is not None:
-            loc.append(f"tree {tree_index}")
-        if node_index is not None:
-            loc.append(f"node {node_index}")
-        if loc:
-            message = f"{message} ({', '.join(loc)})"
-        super().__init__(message)
-        self.tree_index = tree_index
-        self.node_index = node_index
 
-
-class ModelInvariantError(GroupShapError):
+class ModelInvariantError(ModelFileError):
     """A model file parses but violates a structural invariant."""
-
-    def __init__(self, message, tree_index=None, node_index=None):
-        loc = []
-        if tree_index is not None:
-            loc.append(f"tree {tree_index}")
-        if node_index is not None:
-            loc.append(f"node {node_index}")
-        if loc:
-            message = f"{message} ({', '.join(loc)})"
-        super().__init__(message)
-        self.tree_index = tree_index
-        self.node_index = node_index
 
 
 class GroupingError(GroupShapError):
@@ -59,10 +51,6 @@ class SampleTooSmall(GroupShapError):
 
 class DegenerateVariance(GroupShapError):
     """All-constant data: variance estimates vanish."""
-
-
-class SingularCovariance(GroupShapError):
-    """Sample covariance cannot be inverted."""
 
 
 class InvalidCorrelation(GroupShapError):

@@ -1,15 +1,16 @@
 """Monte Carlo driver for the size/power study plus concentration analyses.
 
 Grid cells run independently; each replication derives its stream from the
-cell seed and the replication index, so results are identical no matter how
-many workers are used. Emitted tables mirror the study layout: tests as
-columns, model/K/S as rows, degenerate cells printed as NaN.
+cell seed and the replication index, so results are identical whether the
+cells run serially or on a thread pool. Emitted tables mirror the study
+layout: tests as columns, model/K/S as rows, degenerate cells printed as NaN.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -20,6 +21,12 @@ from .inference import moments, run_tests_from_moments
 from .simgen import Alternative, SimSpec, ZModel, generate
 
 DEFAULT_TESTS = ("wald", "cq", "gs")
+# K * S of the largest cell from which the grid runs its cells on a thread
+# pool. Above it a replication is mostly BLAS/LAPACK work, which releases the
+# GIL; below it, mostly Python and scipy.stats overhead, which the pool only
+# contends for (on 2 cores, serial/pooled time was 0.8-0.9 at K*S = 1e3 and
+# 1.3-1.8 from 1.5e4 on).
+POOL_MIN_CELL_SIZE = 10_000
 
 
 @dataclass
@@ -145,8 +152,9 @@ def _run_cell(spec: SimSpec, tests) -> list[CellResult]:
     ]
 
 
-def _run_grid(specs, tests, alpha: float, seed: int, threads: int | None) -> GridResult:
-    if threads is None or threads <= 1 or len(specs) == 1:
+def _run_grid(specs, tests, alpha: float, seed: int) -> GridResult:
+    threads = min(os.cpu_count() or 1, len(specs))
+    if threads <= 1 or max(s.K * s.S for s in specs) < POOL_MIN_CELL_SIZE:
         per_cell = [_run_cell(spec, tests) for spec in specs]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -155,22 +163,22 @@ def _run_grid(specs, tests, alpha: float, seed: int, threads: int | None) -> Gri
     return GridResult(cells=cells, alpha=alpha, seed=seed)
 
 
-def run_size_grid(specs, tests=DEFAULT_TESTS, threads: int | None = None, master_seed: int = 0) -> GridResult:
+def run_size_grid(specs, tests=DEFAULT_TESTS, master_seed: int = 0) -> GridResult:
     """Empirical size per cell and test; degenerate runs are tallied, not rejected."""
     for spec in specs:
         if spec.alternative is not Alternative.NULL:
             raise ValueError("size grid requires alternative = null for every cell")
     alpha = specs[0].alpha if specs else 0.05
-    return _run_grid(specs, tests, alpha, master_seed, threads)
+    return _run_grid(specs, tests, alpha, master_seed)
 
 
-def run_power_grid(specs, tests=DEFAULT_TESTS, threads: int | None = None, master_seed: int = 0) -> GridResult:
+def run_power_grid(specs, tests=DEFAULT_TESTS, master_seed: int = 0) -> GridResult:
     """Empirical power under sparse or dense mean shifts."""
     for spec in specs:
         if spec.alternative is Alternative.NULL:
             raise ValueError("power grid requires a sparse or dense alternative")
     alpha = specs[0].alpha if specs else 0.05
-    return _run_grid(specs, tests, alpha, master_seed, threads)
+    return _run_grid(specs, tests, alpha, master_seed)
 
 
 def are_metric(empirical_sizes, alpha: float) -> float:

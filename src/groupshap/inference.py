@@ -12,7 +12,7 @@ moments, so one moments pass feeds every test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import stats
@@ -75,20 +75,14 @@ def moments(phi) -> SampleMoments:
     mean = phi.mean(axis=0)
     centered = phi - mean
     diag = (centered * centered).sum(axis=0) / (S - 1)
-    if S <= K:
-        # traces via the Gram matrix: same nonzero spectrum, smaller side
-        g = centered @ centered.T / (S - 1)
-        g = (g + g.T) / 2.0
-        tr1 = float(np.trace(g))
-        t2 = float((g * g).sum())
-        t3 = float(((g @ g) * g).sum())
-        cov = None
-    else:
-        cov = centered.T @ centered / (S - 1)
-        cov = (cov + cov.T) / 2.0
-        tr1 = float(np.trace(cov))
-        t2 = float((cov * cov).sum())
-        t3 = float(((cov @ cov) * cov).sum())
+    # traces on the smaller of the S x S Gram and the K x K covariance matrix:
+    # both have the same nonzero spectrum
+    gram = S <= K
+    a = (centered @ centered.T if gram else centered.T @ centered) / (S - 1)
+    a = (a + a.T) / 2.0
+    tr1 = float(np.trace(a))
+    t2 = float((a * a).sum())
+    t3 = float(((a @ a) * a).sum())
     tr2_hat = (S - 1) ** 2 / ((S - 2) * (S + 1)) * (t2 - tr1**2 / (S - 1))
     tr3_hat = (
         (S - 1) ** 4
@@ -103,7 +97,7 @@ def moments(phi) -> SampleMoments:
         tr3_hat=tr3_hat,
         diag=diag,
         centered=centered,
-        cov=cov,
+        cov=None if gram else a,
     )
 
 
@@ -257,14 +251,19 @@ def _gs_from_moments(m: SampleMoments, alpha: float) -> TestReport:
         return _degenerate_report("gs", alpha, "DegenerateVariance", reason=str(exc))
     t0 = t0_statistic(m)
     stat = t0.value + t1.normalized
+    if not approx.normal_fallback:
+        d = approx.d
+        dfd = (m.S - 1) * d
+        f_crit = float(stats.f.isf(alpha, d, dfd))
+        if math.isfinite(f_crit):
+            crit = (f_crit - 1.0) * math.sqrt(d / 2.0)
+            p = float(stats.f.sf(1.0 + math.sqrt(2.0 / d) * stat, d, dfd))
+        else:
+            # the F quantile is nan from d ~ 1e17: use the normal reference
+            approx = replace(approx, normal_fallback=True)
     if approx.normal_fallback:
         crit = float(stats.norm.isf(alpha))
         p = float(stats.norm.sf(stat))
-    else:
-        d = approx.d
-        dfd = (m.S - 1) * d
-        crit = float((stats.f.isf(alpha, d, dfd) - 1.0) * math.sqrt(d / 2.0))
-        p = float(stats.f.sf(1.0 + math.sqrt(2.0 / d) * stat, d, dfd))
     report = TestReport(
         test="gs",
         alpha=alpha,
@@ -362,15 +361,15 @@ def _cq_from_moments(m: SampleMoments, alpha: float) -> TestReport:
     )
 
 
-_TESTS = {"gs": _gs_from_moments, "wald": _wald_from_moments, "cq": _cq_from_moments}
+TESTS = {"gs": _gs_from_moments, "wald": _wald_from_moments, "cq": _cq_from_moments}
 
 
 def run_tests_from_moments(m: SampleMoments, alpha: float, tests) -> list[TestReport]:
     """Dispatch several tests against one precomputed moments object."""
-    unknown = [t for t in tests if t not in _TESTS]
+    unknown = [t for t in tests if t not in TESTS]
     if unknown:
-        raise ValueError(f"unknown tests: {unknown}; choose from {sorted(_TESTS)}")
-    return [_TESTS[t](m, alpha) for t in tests]
+        raise ValueError(f"unknown tests: {unknown}; choose from {sorted(TESTS)}")
+    return [TESTS[t](m, alpha) for t in tests]
 
 
 def group_joint_test(

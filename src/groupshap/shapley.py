@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -158,14 +158,6 @@ def read_shap_csv(path) -> ShapMatrix:
     return ShapMatrix(np.asarray(rows), np.asarray(base), names)
 
 
-@dataclass
-class GroupWeights:
-    """Nonnegative per-feature weights summing to one within each group."""
-
-    weights: np.ndarray  # length n_features
-    grouping: FeatureGrouping = field(repr=False)
-
-
 # --------------------------------------------------------------------------
 # value function and exact enumeration
 
@@ -295,37 +287,7 @@ def tree_group_shap(model: TreeEnsemble, X, grouping: FeatureGrouping) -> ShapMa
     f2g = grouping.feature_to_group()
     phi = np.zeros((S, K))
     for t in model.trees:
-        idx = np.full(S, t.root)
-        live = t.feature[idx] != LEAF
-        while live.any():
-            rows = np.nonzero(live)[0]
-            nodes = idx[rows]
-            feats = t.feature[nodes]
-            go_left = X[rows, feats] <= t.threshold[nodes]
-            child = np.where(go_left, t.left[nodes], t.right[nodes])
-            np.add.at(phi, (rows, f2g[feats]), t.value[child] - t.value[nodes])
-            idx[rows] = child
-            live[rows] = t.feature[child] != LEAF
+        for rows, nodes, children in t.descend(X):
+            np.add.at(phi, (rows, f2g[t.feature[nodes]]), t.value[children] - t.value[nodes])
     base = base_value(model)
     return ShapMatrix(phi, np.full(S, base), list(grouping.names))
-
-
-def shap_weights(individual_shap, grouping: FeatureGrouping) -> GroupWeights:
-    """Per-feature weights proportional to mean |SHAP|, normalized per group.
-
-    Groups whose columns are all zero fall back to uniform weights. Used by
-    the composite-split surrogate mode only.
-    """
-    shap = np.atleast_2d(np.asarray(individual_shap, dtype=float))
-    if shap.shape[1] != grouping.n_features:
-        raise ShapeError("SHAP matrix width does not match grouping")
-    mean_abs = np.abs(shap).mean(axis=0)
-    w = np.zeros(grouping.n_features)
-    for _, idx in grouping.groups:
-        idx = list(idx)
-        total = mean_abs[idx].sum()
-        if total > 0:
-            w[idx] = mean_abs[idx] / total
-        else:
-            w[idx] = 1.0 / len(idx)
-    return GroupWeights(weights=w, grouping=grouping)

@@ -48,8 +48,29 @@ class Tree:
     def n_nodes(self) -> int:
         return len(self.feature)
 
-    def is_leaf(self, i: int) -> bool:
-        return self.feature[i] == LEAF
+    def descend(self, X: np.ndarray):
+        """Walk every row of X from the root to its leaf, one level at a time.
+
+        Yields ``(rows, nodes, children)``: the rows still at an internal node,
+        the node each of them is at, and the child it moves to.
+        """
+        idx = np.full(X.shape[0], self.root)
+        live = self.feature[idx] != LEAF
+        while live.any():
+            rows = np.nonzero(live)[0]
+            nodes = idx[rows]
+            go_left = X[rows, self.feature[nodes]] <= self.threshold[nodes]
+            children = np.where(go_left, self.left[nodes], self.right[nodes])
+            yield rows, nodes, children
+            idx[rows] = children
+            live[rows] = self.feature[children] != LEAF
+
+    def leaf_values(self, X: np.ndarray) -> np.ndarray:
+        """Value of the leaf each row of X ends in."""
+        leaf = np.full(X.shape[0], self.root)
+        for rows, _, children in self.descend(X):
+            leaf[rows] = children
+        return self.value[leaf]
 
 
 @dataclass
@@ -68,13 +89,7 @@ class TreeEnsemble:
             raise ShapeError(
                 f"expected {self.n_features} features, got shape {x.shape}"
             )
-        out = self.base_score
-        for t in self.trees:
-            i = t.root
-            while t.feature[i] != LEAF:
-                i = t.left[i] if x[t.feature[i]] <= t.threshold[i] else t.right[i]
-            out += t.value[i]
-        return float(out)
+        return float(self.predict_many(x[None])[0])
 
     def predict_many(self, X) -> np.ndarray:
         """Vectorized prediction over the rows of an S x F matrix."""
@@ -85,15 +100,7 @@ class TreeEnsemble:
             )
         out = np.full(X.shape[0], self.base_score)
         for t in self.trees:
-            idx = np.full(X.shape[0], t.root)
-            live = t.feature[idx] != LEAF
-            while live.any():
-                rows = np.nonzero(live)[0]
-                nodes = idx[rows]
-                go_left = X[rows, t.feature[nodes]] <= t.threshold[nodes]
-                idx[rows] = np.where(go_left, t.left[nodes], t.right[nodes])
-                live[rows] = t.feature[idx[rows]] != LEAF
-            out += t.value[idx]
+            out += t.leaf_values(X)
         return out
 
 
@@ -272,25 +279,13 @@ def train_gbm(
     for _ in range(n_trees):
         t = _grow_tree(X, resid, max_depth, min_samples_leaf, learning_rate)
         trees.append(t)
-        resid -= _tree_predict_many(t, X)
+        resid -= t.leaf_values(X)
     return TreeEnsemble(
         trees=trees,
         n_features=X.shape[1],
         base_score=base,
         feature_names=list(data.columns),
     )
-
-
-def _tree_predict_many(t: Tree, X: np.ndarray) -> np.ndarray:
-    idx = np.full(X.shape[0], t.root)
-    live = t.feature[idx] != LEAF
-    while live.any():
-        rows = np.nonzero(live)[0]
-        nodes = idx[rows]
-        go_left = X[rows, t.feature[nodes]] <= t.threshold[nodes]
-        idx[rows] = np.where(go_left, t.left[nodes], t.right[nodes])
-        live[rows] = t.feature[idx[rows]] != LEAF
-    return t.value[idx]
 
 
 # --------------------------------------------------------------------------

@@ -58,13 +58,13 @@ def _report(name: str, ok: bool, detail: str) -> bool:
 @pytest.fixture(scope="module")
 def rho05_grid():
     specs = grid_specs(MODELS, KS, SS, [0.5], "null", GRID_REPS, MASTER_SEED, ALPHA)
-    return run_size_grid(specs, tests=("wald", "cq", "gs"), threads=2, master_seed=MASTER_SEED)
+    return run_size_grid(specs, tests=("wald", "cq", "gs"), master_seed=MASTER_SEED)
 
 
 @pytest.fixture(scope="module")
 def gaussian_side_grid():
     specs = grid_specs(["normal"], KS, SS, [0.2, 0.8], "null", GRID_REPS, MASTER_SEED + 1, ALPHA)
-    return run_size_grid(specs, tests=("gs",), threads=2, master_seed=MASTER_SEED + 1)
+    return run_size_grid(specs, tests=("gs",), master_seed=MASTER_SEED + 1)
 
 
 def test_criterion_1_size_regression(rho05_grid):
@@ -108,7 +108,7 @@ def test_criterion_2_power_ordering():
     tests = ("wald", "cq", "gs")
     sparse_specs = grid_specs(["normal"], [100], [300], [0.5], "sparse", reps, MASTER_SEED + 2, ALPHA)
     dense_specs = grid_specs(["normal"], [100], [300], [0.5], "dense", reps, MASTER_SEED + 3, ALPHA)
-    result = run_power_grid(sparse_specs + dense_specs, tests=tests, threads=2, master_seed=MASTER_SEED + 2)
+    result = run_power_grid(sparse_specs + dense_specs, tests=tests, master_seed=MASTER_SEED + 2)
     failures = []
 
     sparse = {t: 100.0 * result.rate(t, "normal", 100, 300, 0.5, "sparse") for t in tests}

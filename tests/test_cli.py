@@ -110,6 +110,56 @@ def test_degenerate_statistics_exit_three(tmp_path, capsys):
     assert "degenerate" in capsys.readouterr().err.lower()
 
 
+def _random_shap_csv(tmp_path, names, S=30):
+    rng = np.random.default_rng(3)
+    path = tmp_path / "shap.csv"
+    ShapMatrix(rng.normal(size=(S, len(names))), np.zeros(S), names).to_csv(path)
+    return path
+
+
+def test_csv_report_quotes_wald_df(tmp_path):
+    path = _random_shap_csv(tmp_path, ["a", "b"])
+    out = tmp_path / "report.csv"
+    assert main(["test", "--shap", str(path), "--tests", "wald,gs",
+                 "--format", "csv", "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert len(header) == 7 and all(len(row) == 7 for row in rows)
+    wald = [dict(zip(header, row)) for row in rows if row[0] == "wald"]
+    assert [r["df"] for r in wald] == ["1,29", "1,29"]
+    assert all(r["degenerate"] == "" for r in wald)
+
+
+def test_shap_csv_with_duplicate_group_names_exits_two(tmp_path, capsys):
+    path = _random_shap_csv(tmp_path, ["a", "a"])
+    assert main(["test", "--shap", str(path)]) == 2
+    assert "unique" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["test"], ["simulate", "size"]])
+def test_unknown_test_name_exits_one(tmp_path, capsys, command):
+    args = ["--shap", str(_random_shap_csv(tmp_path, ["a"]))] if command == ["test"] else []
+    out = tmp_path / "out"
+    assert main(command + args + ["--tests", "gs,foo", "--out", str(out)]) == 1
+    assert "--tests" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["test"], ["simulate", "size"]])
+@pytest.mark.parametrize("alpha", ["2", "0", "nan"])
+def test_alpha_outside_unit_interval_exits_one(tmp_path, capsys, command, alpha):
+    args = ["--shap", str(_random_shap_csv(tmp_path, ["a"]))] if command == ["test"] else []
+    out = tmp_path / "out"
+    assert main(command + args + ["--alpha", alpha, "--out", str(out)]) == 1
+    assert "alpha must be in (0, 1)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_has_no_threads_flag(tmp_path, capsys):
+    assert main(["simulate", "size", "--threads", "2", "--out", str(tmp_path / "o")]) == 1
+    assert "--threads" in capsys.readouterr().err
+
+
 def test_analyze_corrdet_zero_variance_exits_three(tmp_path):
     vals = np.column_stack([np.arange(10.0), np.ones(10)])
     ShapMatrix(vals, np.zeros(10), ["a", "b"]).to_csv(tmp_path / "s.csv")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groupshap import experiments
 from groupshap.errors import (
     AREUnavailable,
     DegenerateConcentration,
@@ -146,10 +147,22 @@ def test_size_grid_structure_and_wald_degeneracy():
     assert gs.rejection_rate == gs.rejections / 60
 
 
-def test_grid_deterministic_across_thread_counts():
-    a = run_size_grid(_tiny_size_specs(), tests=("cq", "gs"), threads=1, master_seed=42)
-    b = run_size_grid(_tiny_size_specs(), tests=("cq", "gs"), threads=4, master_seed=42)
-    assert a.cells == b.cells
+def test_grid_deterministic_across_schedules(monkeypatch):
+    monkeypatch.setattr(experiments, "POOL_MIN_CELL_SIZE", math.inf)
+    serial = run_size_grid(_tiny_size_specs(), tests=("cq", "gs"), master_seed=42)
+    pools = []
+
+    class Pool(experiments.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(experiments, "POOL_MIN_CELL_SIZE", 0)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", Pool)
+    pooled = run_size_grid(_tiny_size_specs(), tests=("cq", "gs"), master_seed=42)
+    assert pools == [2]  # two cells, so two threads
+    assert serial.cells == pooled.cells
 
 
 def test_size_grid_requires_null_cells():

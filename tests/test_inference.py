@@ -270,6 +270,23 @@ def test_gs_formula_reference_point():
         assert rep.reject is False
 
 
+def test_gs_falls_back_to_normal_when_f_quantile_is_not_finite():
+    # k2 = 2 and k3 = 8e-9 give d = 8 k2^3 / k3^2 = 1e18, where the F(d, 49 d)
+    # quantile is nan; the d -> infinity limit, N(0, 1), takes over
+    S, K = 50, 100
+    m = _synthetic_moments(
+        S, K, tr2_hat=S * (S - 1), tr3_hat=1e-9 * S**2 * (S - 1) ** 2 / (S - 2),
+        mean=np.full(K, math.sqrt(2.0 * math.sqrt(2.0) / K)),
+    )
+    rep = _gs_from_moments(m, alpha=0.05)
+    assert rep.approx.d == pytest.approx(1e18, rel=1e-9)
+    assert rep.approx.normal_fallback and rep.details["normal_fallback"]
+    assert rep.statistic == pytest.approx(2.0, rel=1e-12)
+    assert rep.critical_value == pytest.approx(stats.norm.isf(0.05), rel=1e-12)
+    assert rep.p_value == pytest.approx(stats.norm.sf(2.0), rel=1e-12)
+    assert rep.reject is True
+
+
 def test_gs_decision_consistency(rng):
     for _ in range(30):
         phi = rng.normal(size=(rng.integers(6, 40), rng.integers(1, 8)))

@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from groupshap.errors import CoalitionBudgetExceeded, GroupingError, ShapeError
 from groupshap.shapley import (
@@ -14,7 +12,6 @@ from groupshap.shapley import (
     exact_individual_shapley,
     read_grouping_file,
     read_shap_csv,
-    shap_weights,
     tree_group_shap,
     value_function,
     write_grouping_file,
@@ -303,42 +300,7 @@ def test_linearity_over_ensemble_concatenation(rng):
 
 
 # --------------------------------------------------------------------------
-# weights and CSV round trip
-
-
-def test_single_feature_group_weight_is_one():
-    grouping = FeatureGrouping([("g", [0])], 1)
-    w = shap_weights(np.ones((5, 1)), grouping)
-    assert w.weights[0] == 1.0
-
-
-def test_weights_normalize_by_mean_abs():
-    grouping = FeatureGrouping([("g", [0, 1])], 2)
-    shap = np.array([[3.0, 1.0], [-3.0, -1.0]])
-    w = shap_weights(shap, grouping)
-    np.testing.assert_allclose(w.weights, [0.75, 0.25])
-
-
-def test_all_zero_group_gets_uniform_weights():
-    grouping = FeatureGrouping([("g", [0, 1, 2]), ("h", [3])], 4)
-    shap = np.zeros((4, 4))
-    shap[:, 3] = 1.0
-    w = shap_weights(shap, grouping)
-    np.testing.assert_allclose(w.weights, [1 / 3, 1 / 3, 1 / 3, 1.0])
-
-
-@given(st.integers(0, 2**31 - 1))
-@settings(max_examples=20, deadline=None)
-def test_weights_sum_to_one_per_group(seed):
-    rng = np.random.default_rng(seed)
-    n_features = int(rng.integers(2, 9))
-    groups = random_partition(rng, n_features, int(rng.integers(1, n_features + 1)))
-    grouping = FeatureGrouping(groups, n_features)
-    shap = rng.normal(size=(7, n_features)) * rng.integers(0, 2, size=n_features)
-    w = shap_weights(shap, grouping)
-    assert (w.weights >= 0).all()
-    for _, idx in grouping.groups:
-        assert w.weights[list(idx)].sum() == pytest.approx(1.0, abs=1e-12)
+# CSV round trip
 
 
 def test_shap_matrix_csv_round_trip(tmp_path, rng):

@@ -24,7 +24,7 @@ from groupshap.tree import (
     train_gbm,
 )
 
-from conftest import leaf_tree, random_ensemble, stump
+from conftest import build_tree, leaf_tree, random_ensemble, stump
 
 
 def _check_node_invariants(model: TreeEnsemble):
@@ -91,6 +91,16 @@ def test_predict_follows_stump_path():
     assert model.predict([0.2]) == 1.0
     assert model.predict([0.5]) == 1.0  # ties go left
     assert model.predict([0.7]) == 2.0
+
+
+def test_descend_walks_each_row_one_level_at_a_time():
+    # the root splits on x0 into leaf 1 and node 2, which splits on x1 into
+    # leaves 3 and 4
+    t = build_tree((0, 0.5, (1.0, 10), (1, 0.5, (2.0, 10), (3.0, 10))))
+    X = np.array([[0.2, 0.9], [0.7, 0.2], [0.7, 0.9]])
+    levels = [(r.tolist(), n.tolist(), c.tolist()) for r, n, c in t.descend(X)]
+    assert levels == [([0, 1, 2], [0, 0, 0], [1, 2, 2]), ([1, 2], [2, 2], [3, 4])]
+    np.testing.assert_array_equal(t.leaf_values(X), [1.0, 2.0, 3.0])
 
 
 def test_predict_is_deterministic_and_shape_checked(rng):
