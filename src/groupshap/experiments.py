@@ -221,7 +221,8 @@ def lorenz_gini(mean_abs_values) -> ConcentrationReport:
     x = np.linspace(0.0, 1.0, v.size + 1)
     area = float(np.trapezoid(y, x))
     points = np.column_stack([x, y])
-    return ConcentrationReport(lorenz=points, gini=1.0 - 2.0 * area)
+    # equal values put the area a few ulps above 1/2; a Gini is never negative
+    return ConcentrationReport(lorenz=points, gini=max(0.0, 1.0 - 2.0 * area))
 
 
 def corr_determinant(columns, names=None) -> float:

@@ -63,8 +63,13 @@ def test_all_zero_concentration_degenerate():
         lorenz_gini([0.0, 0.0])
 
 
+# Normal floats only: scaling a subnormal rounds it to a coarse grid (c * 5e-324
+# is 0 for c < 0.5), so neither the Lorenz curve nor its Gini is scale-invariant
+# there, and an all-subnormal input can scale to an all-zero vector.
 @given(
-    st.lists(st.floats(0.0, 100.0), min_size=1, max_size=20).filter(lambda v: sum(v) > 0),
+    st.lists(st.floats(0.0, 100.0, allow_subnormal=False), min_size=1, max_size=20).filter(
+        lambda v: sum(v) > 0
+    ),
     st.floats(0.1, 10.0),
 )
 @settings(max_examples=40, deadline=None)
