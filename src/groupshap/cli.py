@@ -183,9 +183,8 @@ def _cmd_explain(args) -> int:
     if args.method == "tree":
         shap = tree_group_shap(model, X, grouping)
     else:
-        base = base_value(model)
-        values = np.vstack([exact_group_shapley(model, x, grouping) for x in X])
-        shap = ShapMatrix(values, np.full(X.shape[0], base), list(grouping.names))
+        values = exact_group_shapley(model, X, grouping)
+        shap = ShapMatrix(values, np.full(X.shape[0], base_value(model)), list(grouping.names))
     shap.to_csv(args.out)
     out_dir = os.path.dirname(os.path.abspath(args.out))
     _write_run_config(out_dir, args, outputs=[args.out])
@@ -259,6 +258,8 @@ def _cmd_test(args) -> int:
             shap.values, grouping, alpha=args.alpha, mode="reduced", tests=tests
         )
     else:
+        if args.groups is None:
+            raise _UsageError("--individual-shap needs --groups")
         ishap = read_shap_csv(args.individual_shap)
         grouping = read_grouping_file(args.groups, list(ishap.group_names))
         reports = group_joint_test(

@@ -5,6 +5,13 @@ each feature group as one player, and a fast per-node walk along each
 observation's decision path. Both share one value function: path-dependent
 cover-weighted marginalization, so the exact oracle and the fast method are
 directly comparable.
+
+The value function and the exact enumeration take one feature vector or an
+S x F matrix. On a matrix every tree node is evaluated for all rows at once,
+and each of the 2^K coalition values is computed once per block of rows; the
+blocks keep that cache at EXACT_CACHE_FLOATS floats or fewer. Each row goes
+through the same floating-point operations either way, so its attributions
+have the same bits whether it is passed alone or inside a matrix.
 """
 
 from __future__ import annotations
@@ -19,6 +26,8 @@ from .errors import CoalitionBudgetExceeded, GroupingError, ShapeError
 from .tree import LEAF, Tree, TreeEnsemble
 
 EXACT_GROUP_LIMIT = 20
+# most floats the coalition cache of exact_group_shapley holds at once
+EXACT_CACHE_FLOATS = 1 << 20
 
 
 @dataclass
@@ -141,49 +150,70 @@ class ShapMatrix:
 
 
 def read_shap_csv(path) -> ShapMatrix:
+    """Read an attribution CSV written by ShapMatrix.to_csv.
+
+    Every row needs the header's field count, and its base and group cells
+    must be finite numbers; anything else is a ShapeError naming file:line.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or len(header) < 3 or header[:2] != ["obs_id", "base"]:
             raise ShapeError(f"{path}: expected header 'obs_id, base, <groups...>'")
         names = header[2:]
-        base, rows = [], []
-        for row in reader:
+        rows, linenos = [], []
+        for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            base.append(float(row[1]))
-            rows.append([float(v) for v in row[2:]])
+            if len(row) != len(header):
+                raise ShapeError(
+                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
+                )
+            try:
+                rows.append([float(v) for v in row[1:]])
+            except ValueError:
+                raise ShapeError(f"{path}:{lineno}: non-numeric value") from None
+            linenos.append(lineno)
     if not rows:
         raise ShapeError(f"{path}: no data rows")
-    return ShapMatrix(np.asarray(rows), np.asarray(base), names)
+    cells = np.asarray(rows)
+    finite = np.isfinite(cells).all(axis=1)
+    if not finite.all():
+        raise ShapeError(f"{path}:{linenos[int(np.argmin(finite))]}: non-finite value")
+    return ShapMatrix(np.ascontiguousarray(cells[:, 1:]), cells[:, 0].copy(), names)
 
 
 # --------------------------------------------------------------------------
 # value function and exact enumeration
 
 
-def _marginal_tree_value(t: Tree, x: np.ndarray, active: np.ndarray, i: int) -> float:
+def _marginal_tree_values(t: Tree, X: np.ndarray, active: np.ndarray, i: int) -> np.ndarray:
+    """Marginal value of the subtree at node i for every row of X at once."""
     f = t.feature[i]
     if f == LEAF:
-        return float(t.value[i])
-    if active[f]:
-        nxt = t.left[i] if x[f] <= t.threshold[i] else t.right[i]
-        return _marginal_tree_value(t, x, active, int(nxt))
+        return np.full(X.shape[0], t.value[i])
     l, r = int(t.left[i]), int(t.right[i])
-    vl = _marginal_tree_value(t, x, active, l)
-    vr = _marginal_tree_value(t, x, active, r)
+    vl = _marginal_tree_values(t, X, active, l)
+    vr = _marginal_tree_values(t, X, active, r)
+    if active[f]:
+        return np.where(X[:, f] <= t.threshold[i], vl, vr)
     return (t.cover[l] * vl + t.cover[r] * vr) / t.cover[i]
 
 
-def value_function(model: TreeEnsemble, x, active) -> float:
+def value_function(model: TreeEnsemble, x, active) -> float | np.ndarray:
     """Prediction with only `active` features known.
 
     Splits on active features follow x; splits on inactive features average
     both branches with cover weights. With all features active this is
     predict(x); with none it is base_score plus the root values.
+
+    ``x`` is one feature vector (returns a float) or an S x F matrix (returns
+    the S values, one per row). Every row goes through the same operations in
+    the same order either way, so a row's value has the same bits in both.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape != (model.n_features,):
+    X = np.atleast_2d(x)
+    if x.ndim not in (1, 2) or X.shape[1] != model.n_features:
         raise ShapeError(f"expected {model.n_features} features, got shape {x.shape}")
     mask = np.zeros(model.n_features, dtype=bool)
     active = list(active)
@@ -192,14 +222,22 @@ def value_function(model: TreeEnsemble, x, active) -> float:
         if idx.min() < 0 or idx.max() >= model.n_features:
             raise ShapeError("active feature index out of range")
         mask[idx] = True
-    total = model.base_score
+    total = np.full(X.shape[0], model.base_score)
     for t in model.trees:
-        total += _marginal_tree_value(t, x, mask, t.root)
-    return float(total)
+        total += _marginal_tree_values(t, X, mask, t.root)
+    return float(total[0]) if x.ndim == 1 else total
 
 
 def exact_group_shapley(model: TreeEnsemble, x, grouping: FeatureGrouping) -> np.ndarray:
-    """Coalition enumeration of the group-level game: K players, 2^K values."""
+    """Coalition enumeration of the group-level game: K players, 2^K values.
+
+    ``x`` is one feature vector (returns the K values) or an S x F matrix
+    (returns S x K). Each coalition's value is computed once for a block of
+    rows, so the cache holds 2^K vectors; blocks are sized to keep it at
+    EXACT_CACHE_FLOATS floats or fewer, the size a single row's cache reaches
+    at EXACT_GROUP_LIMIT groups. A row's values have the same bits whether it
+    is passed alone or inside a matrix.
+    """
     if grouping.n_features != model.n_features:
         raise ShapeError("grouping does not match the model's feature count")
     K = grouping.n_groups
@@ -209,18 +247,19 @@ def exact_group_shapley(model: TreeEnsemble, x, grouping: FeatureGrouping) -> np
             "use tree_group_shap instead"
         )
     x = np.asarray(x, dtype=float)
+    X = np.atleast_2d(x)
     group_feats = [idx for _, idx in grouping.groups]
 
-    cache: dict[int, float] = {}
+    cache: dict[int, np.ndarray] = {}
 
-    def v(mask: int) -> float:
+    def v(mask: int) -> np.ndarray:
         got = cache.get(mask)
         if got is None:
             feats: list[int] = []
             for j in range(K):
                 if mask >> j & 1:
                     feats.extend(group_feats[j])
-            got = value_function(model, x, feats)
+            got = value_function(model, xb, feats)
             cache[mask] = got
         return got
 
@@ -228,15 +267,19 @@ def exact_group_shapley(model: TreeEnsemble, x, grouping: FeatureGrouping) -> np
     fact = [math.factorial(n) for n in range(K + 1)]
     w = [fact[c] * fact[K - c - 1] / fact[K] for c in range(K)]
 
-    phi = np.zeros(K)
-    for j in range(K):
-        bit = 1 << j
-        for mask in range(1 << K):
-            if mask & bit:
-                continue
-            c = bin(mask).count("1")
-            phi[j] += w[c] * (v(mask | bit) - v(mask))
-    return phi
+    block = max(1, EXACT_CACHE_FLOATS >> K)
+    phi = np.zeros((X.shape[0], K))
+    for start in range(0, X.shape[0], block):
+        xb = X[start : start + block]
+        cache.clear()
+        for j in range(K):
+            bit = 1 << j
+            for mask in range(1 << K):
+                if mask & bit:
+                    continue
+                c = bin(mask).count("1")
+                phi[start : start + block, j] += w[c] * (v(mask | bit) - v(mask))
+    return phi[0] if x.ndim == 1 else phi
 
 
 def exact_individual_shapley(model: TreeEnsemble, x) -> np.ndarray:

@@ -125,7 +125,7 @@ def read_csv_dataset(path, target: str | None = None) -> Dataset:
     """Load a comma-delimited CSV with a header row.
 
     If ``target`` names a column, it becomes ``y`` and is dropped from ``X``.
-    Missing or non-numeric cells are rejected.
+    Missing, non-numeric and non-finite cells are rejected.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -134,7 +134,7 @@ def read_csv_dataset(path, target: str | None = None) -> Dataset:
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
-        rows = []
+        rows, linenos = [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -148,11 +148,14 @@ def read_csv_dataset(path, target: str | None = None) -> Dataset:
                 raise DataError(
                     f"{path}:{lineno}: non-numeric or missing value"
                 ) from None
+            linenos.append(lineno)
     if not rows:
         raise DataError(f"{path}: no data rows")
     data = np.asarray(rows, dtype=float)
-    if np.isnan(data).any():
-        raise DataError(f"{path}: missing values are not supported")
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        lineno = linenos[int(np.argmin(finite))]
+        raise DataError(f"{path}:{lineno}: missing or non-finite values are not supported")
     y = None
     if target is not None:
         if target not in header:
@@ -170,44 +173,50 @@ def read_csv_dataset(path, target: str | None = None) -> Dataset:
 # training
 
 
-def _best_split(Xsub: np.ndarray, resid: np.ndarray, min_leaf: int):
+def _best_split(cols, resid, rows, order, min_leaf: int):
     """Best variance-reduction split for one node, or None.
 
-    Returns (gain, feature, threshold). Gain is the SSE decrease; candidate
-    thresholds are midpoints between consecutive distinct sorted values, so
-    the `x <= threshold` convention reproduces the training partition.
+    ``cols`` is X transposed (F x N, C-contiguous). ``rows`` lists the node's
+    rows in increasing order; ``order`` holds the same rows once per feature,
+    F x n_node, each line stably sorted by that feature's value. Every feature
+    is scored at once. Returns (gain, feature, threshold). Gain is the SSE
+    decrease; candidate thresholds are midpoints between consecutive distinct
+    sorted values, so the `x <= threshold` convention reproduces the training
+    partition. Among equal gains the lowest feature index wins.
     """
-    n = len(resid)
-    total = resid.sum()
-    sse_parent = float(((resid - total / n) ** 2).sum())
+    r = resid[rows]
+    n = len(r)
+    total = r.sum()
+    sse_parent = float(((r - total / n) ** 2).sum())
     if sse_parent <= 0.0 or n < 2 * min_leaf:
         return None
-    best_gain = 0.0
-    best = None
     parent_term = total * total / n
-    for f in range(Xsub.shape[1]):
-        order = np.argsort(Xsub[:, f], kind="stable")
-        xs = Xsub[order, f]
-        csum = np.cumsum(resid[order])
-        n_left = np.arange(1, n)
-        valid = (n_left >= min_leaf) & (n - n_left >= min_leaf) & (xs[:-1] < xs[1:])
-        if not valid.any():
-            continue
-        sum_left = csum[:-1]
-        score = sum_left**2 / n_left + (total - sum_left) ** 2 / (n - n_left)
-        score[~valid] = -np.inf
-        i = int(np.argmax(score))
-        gain = float(score[i]) - parent_term
-        if gain > best_gain:
-            best_gain = gain
-            best = (gain, f, float((xs[i] + xs[i + 1]) / 2.0))
-    if best is None or best_gain <= 1e-10 * sse_parent:
+    xs = cols.take(order + np.arange(0, cols.size, cols.shape[1])[:, None])
+    sum_left = np.cumsum(resid.take(order[:, :-1]), axis=1)
+    # float counts: exact below 2**53, and they spare an int-to-float cast
+    n_left = np.arange(1.0, n)
+    n_right = n - n_left
+    valid = (n_left >= min_leaf) & (n_right >= min_leaf) & (xs[:, :-1] < xs[:, 1:])
+    score = sum_left**2 / n_left + (total - sum_left) ** 2 / n_right
+    score = np.where(valid, score, -np.inf)
+    at = np.argmax(score, axis=1)
+    gains = score[np.arange(len(at)), at] - parent_term
+    f = int(np.argmax(gains))
+    gain = float(gains[f])
+    if not gain > 1e-10 * sse_parent:
         return None
-    return best
+    i = at[f]
+    return gain, f, float((xs[f, i] + xs[f, i + 1]) / 2.0)
 
 
-def _grow_tree(X, resid, max_depth, min_leaf, scale) -> Tree:
-    """Greedy depth-limited CART on the residuals, node values scaled by `scale`."""
+def _grow_tree(X, resid, order, max_depth, min_leaf, scale) -> Tree:
+    """Greedy depth-limited CART on the residuals, node values scaled by `scale`.
+
+    ``order`` is the F x n stable sort order of each column of X; each split
+    partitions it stably, so every node sees its rows presorted. A node's rows
+    stay in increasing row order, so the filtered order equals a stable sort
+    of the node's own values and the tree matches a per-node sort bit for bit.
+    """
     feature, threshold, left, right, value, cover = [], [], [], [], [], []
 
     def new_node(rows):
@@ -219,26 +228,33 @@ def _grow_tree(X, resid, max_depth, min_leaf, scale) -> Tree:
         cover.append(float(len(rows)))
         return len(feature) - 1
 
-    # explicit stack of (node_id, row_indices, depth)
+    def part(order, mask):
+        """The lines of `order` kept by `mask`, each still in sorted order."""
+        return order.ravel().compress(mask.ravel()).reshape(order.shape[0], -1)
+
+    cols = np.ascontiguousarray(X.T)
+    # explicit stack of (node_id, row_indices, presorted order, depth)
     all_rows = np.arange(X.shape[0])
-    stack = [(new_node(all_rows), all_rows, 0)]
+    stack = [(new_node(all_rows), all_rows, order, 0)]
     while stack:
-        node, rows, depth = stack.pop()
+        node, rows, order, depth = stack.pop()
         if depth >= max_depth:
             continue
-        split = _best_split(X[rows], resid[rows], min_leaf)
+        split = _best_split(cols, resid, rows, order, min_leaf)
         if split is None:
             continue
         _, f, thr = split
-        go_left = X[rows, f] <= thr
+        row_left = cols[f] <= thr
+        go_left = row_left[rows]
+        to_left = row_left.take(order)
         feature[node] = f
         threshold[node] = thr
         l_id = new_node(rows[go_left])
         r_id = new_node(rows[~go_left])
         left[node] = l_id
         right[node] = r_id
-        stack.append((l_id, rows[go_left], depth + 1))
-        stack.append((r_id, rows[~go_left], depth + 1))
+        stack.append((l_id, rows[go_left], part(order, to_left), depth + 1))
+        stack.append((r_id, rows[~go_left], part(order, ~to_left), depth + 1))
 
     return Tree(
         feature=np.asarray(feature, dtype=np.int64),
@@ -275,9 +291,11 @@ def train_gbm(
     y = np.asarray(data.y, dtype=float)
     base = float(y.mean())
     resid = y - base
+    # one stable presort per column serves every node of every tree
+    order = np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
     trees = []
     for _ in range(n_trees):
-        t = _grow_tree(X, resid, max_depth, min_samples_leaf, learning_rate)
+        t = _grow_tree(X, resid, order, max_depth, min_samples_leaf, learning_rate)
         trees.append(t)
         resid -= t.leaf_values(X)
     return TreeEnsemble(

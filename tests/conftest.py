@@ -151,6 +151,29 @@ def _oracle_tree_value(tree: Tree, x, active_features, i=None):
     )
 
 
+def reference_value_function(model: TreeEnsemble, x, active_features) -> float:
+    """The value function one row at a time, by a scalar recursive walk.
+
+    It does the library's arithmetic in the library's order (cover-weighted
+    sum divided by the parent cover, trees added in turn), so the library's
+    vectorised value function must match it bit for bit.
+    """
+
+    def walk(t, i):
+        f = t.feature[i]
+        if f == LEAF:
+            return float(t.value[i])
+        if f in active_features:
+            return walk(t, int(t.left[i] if x[f] <= t.threshold[i] else t.right[i]))
+        l, r = int(t.left[i]), int(t.right[i])
+        return (t.cover[l] * walk(t, l) + t.cover[r] * walk(t, r)) / t.cover[i]
+
+    total = model.base_score
+    for t in model.trees:
+        total += walk(t, t.root)
+    return float(total)
+
+
 def brute_force_group_shapley(model: TreeEnsemble, x, groups):
     """Group-player Shapley by direct coalition enumeration.
 
@@ -179,6 +202,96 @@ def brute_force_group_shapley(model: TreeEnsemble, x, groups):
             for combo in itertools.combinations(others, size):
                 phi[j] += w * (v(set(combo) | {j}) - v(set(combo)))
     return phi
+
+
+# --------------------------------------------------------------------------
+# independent reference trainer: sorts every feature afresh at every node
+
+
+def _reference_best_split(Xsub, resid, min_leaf):
+    n = len(resid)
+    total = resid.sum()
+    sse_parent = float(((resid - total / n) ** 2).sum())
+    if sse_parent <= 0.0 or n < 2 * min_leaf:
+        return None
+    best_gain = 0.0
+    best = None
+    parent_term = total * total / n
+    for f in range(Xsub.shape[1]):
+        order = np.argsort(Xsub[:, f], kind="stable")
+        xs = Xsub[order, f]
+        csum = np.cumsum(resid[order])
+        n_left = np.arange(1, n)
+        valid = (n_left >= min_leaf) & (n - n_left >= min_leaf) & (xs[:-1] < xs[1:])
+        if not valid.any():
+            continue
+        sum_left = csum[:-1]
+        score = sum_left**2 / n_left + (total - sum_left) ** 2 / (n - n_left)
+        score[~valid] = -np.inf
+        i = int(np.argmax(score))
+        gain = float(score[i]) - parent_term
+        if gain > best_gain:
+            best_gain = gain
+            best = (gain, f, float((xs[i] + xs[i + 1]) / 2.0))
+    if best is None or best_gain <= 1e-10 * sse_parent:
+        return None
+    return best
+
+
+def reference_grow_tree(X, resid, max_depth, min_leaf, scale) -> Tree:
+    """Greedy depth-limited CART, one stable argsort per feature per node."""
+    feature, threshold, left, right, value, cover = [], [], [], [], [], []
+
+    def new_node(rows):
+        feature.append(LEAF)
+        threshold.append(math.nan)
+        left.append(LEAF)
+        right.append(LEAF)
+        value.append(scale * float(resid[rows].mean()))
+        cover.append(float(len(rows)))
+        return len(feature) - 1
+
+    all_rows = np.arange(X.shape[0])
+    stack = [(new_node(all_rows), all_rows, 0)]
+    while stack:
+        node, rows, depth = stack.pop()
+        if depth >= max_depth:
+            continue
+        split = _reference_best_split(X[rows], resid[rows], min_leaf)
+        if split is None:
+            continue
+        _, f, thr = split
+        go_left = X[rows, f] <= thr
+        feature[node] = f
+        threshold[node] = thr
+        left[node] = new_node(rows[go_left])
+        right[node] = new_node(rows[~go_left])
+        stack.append((left[node], rows[go_left], depth + 1))
+        stack.append((right[node], rows[~go_left], depth + 1))
+    return Tree(
+        feature=np.asarray(feature, dtype=np.int64),
+        threshold=np.asarray(threshold, dtype=float),
+        left=np.asarray(left, dtype=np.int64),
+        right=np.asarray(right, dtype=np.int64),
+        value=np.asarray(value, dtype=float),
+        cover=np.asarray(cover, dtype=float),
+    )
+
+
+def reference_train_gbm(data, n_trees=100, max_depth=3, learning_rate=0.1, min_samples_leaf=5):
+    """Stagewise boosting over reference_grow_tree, as train_gbm defines it."""
+    X = np.asarray(data.X, dtype=float)
+    y = np.asarray(data.y, dtype=float)
+    base = float(y.mean())
+    resid = y - base
+    trees = []
+    for _ in range(n_trees):
+        t = reference_grow_tree(X, resid, max_depth, min_samples_leaf, learning_rate)
+        trees.append(t)
+        resid -= t.leaf_values(X)
+    return TreeEnsemble(
+        trees=trees, n_features=X.shape[1], base_score=base, feature_names=list(data.columns)
+    )
 
 
 @pytest.fixture

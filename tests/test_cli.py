@@ -136,6 +136,50 @@ def test_shap_csv_with_duplicate_group_names_exits_two(tmp_path, capsys):
     assert "unique" in capsys.readouterr().err
 
 
+def test_individual_shap_without_groups_exits_one(tmp_path, capsys):
+    path = _random_shap_csv(tmp_path, ["a", "b"])
+    assert main(["test", "--individual-shap", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "--groups" in err and "Traceback" not in err
+
+
+def _replace_field(path, line, field, text):
+    lines = path.read_text().splitlines()
+    fields = lines[line - 1].split(",")
+    fields[field] = text
+    lines[line - 1] = ",".join(f for f in fields if f is not None)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "cell, message",
+    [("x", "non-numeric value"), (None, "expected 4 fields, got 3"),
+     ("inf", "non-finite value"), ("-inf", "non-finite value"), ("nan", "non-finite value")],
+)
+def test_malformed_shap_csv_exits_two(tmp_path, capsys, cell, message):
+    path = _random_shap_csv(tmp_path, ["a", "b"])
+    _replace_field(path, 4, 2, cell)  # None drops the field: a ragged row
+    assert main(["test", "--shap", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"shap.csv:4: {message}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["train", "explain"])
+def test_non_finite_data_cell_exits_two(tmp_path, dataset_csv, capsys, command):
+    data_path, groups_path, _ = dataset_csv
+    model_path = tmp_path / "m.model"
+    train = ["train", "--data", str(data_path), "--target", "target",
+             "--out", str(model_path), "--n-trees", "2"]
+    assert main(train) == 0
+    _replace_field(data_path, 6, 0, "inf")
+    explain = ["explain", "--model", str(model_path), "--data", str(data_path),
+               "--target", "target", "--groups", str(groups_path), "--out", str(tmp_path / "s.csv")]
+    capsys.readouterr()
+    assert main(train if command == "train" else explain) == 2
+    err = capsys.readouterr().err
+    assert "d.csv:6: missing or non-finite" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", [["test"], ["simulate", "size"]])
 def test_unknown_test_name_exits_one(tmp_path, capsys, command):
     args = ["--shap", str(_random_shap_csv(tmp_path, ["a"]))] if command == ["test"] else []

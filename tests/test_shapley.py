@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from groupshap import shapley
 from groupshap.errors import CoalitionBudgetExceeded, GroupingError, ShapeError
 from groupshap.shapley import (
     FeatureGrouping,
@@ -24,6 +25,7 @@ from conftest import (
     random_ensemble,
     random_partition,
     random_stump_ensemble,
+    reference_value_function,
     stump,
 )
 
@@ -150,6 +152,36 @@ def test_exact_matches_brute_force_on_random_models(rng):
             brute_force_group_shapley(model, x, groups),
             atol=1e-10,
         )
+
+
+@pytest.mark.parametrize("cache_floats", [1 << 20, 40, 1])
+def test_matrix_form_matches_rows_bit_for_bit(rng, monkeypatch, cache_floats):
+    # a small cache budget splits the rows into blocks (down to one row each)
+    monkeypatch.setattr(shapley, "EXACT_CACHE_FLOATS", cache_floats)
+    for _ in range(8):
+        n_features = int(rng.integers(2, 7))
+        model = random_ensemble(rng, n_features, int(rng.integers(1, 6)), 4)
+        grouping = FeatureGrouping(
+            random_partition(rng, n_features, int(rng.integers(1, n_features + 1))), n_features
+        )
+        X = rng.uniform(size=(int(rng.integers(1, 12)), n_features))
+        rows = np.vstack([exact_group_shapley(model, x, grouping) for x in X])
+        assert np.array_equal(exact_group_shapley(model, X, grouping), rows)
+        active = [int(i) for i in np.nonzero(rng.random(n_features) < 0.5)[0]]
+        values = value_function(model, X, active)
+        assert np.array_equal(values, [value_function(model, x, active) for x in X])
+        assert np.array_equal(values, [reference_value_function(model, x, active) for x in X])
+
+
+def test_value_function_shapes():
+    model = _two_feature_tree_model()
+    assert isinstance(value_function(model, [0.2, 0.7], [0]), float)
+    assert value_function(model, np.zeros((3, 2)), [0]).shape == (3,)
+    assert exact_group_shapley(model, np.zeros((3, 2)), FeatureGrouping.singletons(2)).shape == (3, 2)
+    with pytest.raises(ShapeError):
+        value_function(model, np.zeros((3, 3)), [0])
+    with pytest.raises(ShapeError):
+        value_function(model, np.zeros((2, 3, 2)), [0])
 
 
 def test_budget_error_above_twenty_groups():

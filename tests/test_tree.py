@@ -24,7 +24,7 @@ from groupshap.tree import (
     train_gbm,
 )
 
-from conftest import build_tree, leaf_tree, random_ensemble, stump
+from conftest import build_tree, leaf_tree, random_ensemble, reference_train_gbm, stump
 
 
 def _check_node_invariants(model: TreeEnsemble):
@@ -75,10 +75,47 @@ def test_learning_rate_one_single_tree_is_plain_cart(rng):
     y = rng.normal(size=60)
     data = Dataset(X=X, y=y, columns=list("abc"))
     model = train_gbm(data, n_trees=1, max_depth=3, learning_rate=1.0)
-    cart = _grow_tree(X, y - y.mean(), max_depth=3, min_leaf=5, scale=1.0)
+    order = np.argsort(X, axis=0, kind="stable").T
+    cart = _grow_tree(X, y - y.mean(), order, max_depth=3, min_leaf=5, scale=1.0)
     (boosted,) = model.trees
     np.testing.assert_array_equal(boosted.feature, cart.feature)
     np.testing.assert_array_equal(boosted.value, cart.value)
+
+
+def _training_case(case, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(size=(120, 4))
+    y = np.sin(4 * X[:, 0]) + X[:, 1] + rng.normal(0, 0.1, 120)
+    kw = {"n_trees": 8, "max_depth": 3}
+    if case == "ties":  # integer-valued features: many tied sort keys
+        X = rng.integers(0, 4, size=(120, 4)).astype(float)
+        y = X[:, 0] - 0.5 * X[:, 2] + rng.normal(0, 0.3, 120)
+    elif case == "constant_feature":
+        X[:, 1] = 0.75
+    elif case == "constant_target":
+        y = np.full(120, -1.5)
+    elif case == "leaf_boundary":  # n = 2 * min_samples_leaf: one legal cut
+        X, y = X[:14], y[:14]
+        kw["min_samples_leaf"] = 7
+    elif case == "leaf_boundary_plus_one":
+        X, y = X[:15], y[:15]
+        kw["min_samples_leaf"] = 7
+    elif case == "deep_small_leaves":
+        kw.update(max_depth=6, min_samples_leaf=1)
+    return Dataset(X=X, y=y, columns=list("abcd")), kw
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize(
+    "case",
+    ["plain", "ties", "constant_feature", "constant_target",
+     "leaf_boundary", "leaf_boundary_plus_one", "deep_small_leaves"],
+)
+def test_presorted_training_matches_per_node_sort_byte_for_byte(tmp_path, case, seed):
+    data, kw = _training_case(case, seed)
+    save_model(train_gbm(data, **kw), tmp_path / "fast.model")
+    save_model(reference_train_gbm(data, **kw), tmp_path / "reference.model")
+    assert (tmp_path / "fast.model").read_bytes() == (tmp_path / "reference.model").read_bytes()
 
 
 def test_predict_empty_ensemble_returns_base():
@@ -275,6 +312,14 @@ def test_read_csv_rejects_missing_values(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("a,b\n1.0,\n")
     with pytest.raises(DataError):
+        read_csv_dataset(path)
+
+
+@pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "1e999"])
+def test_read_csv_rejects_non_finite_values(tmp_path, cell):
+    path = tmp_path / "d.csv"
+    path.write_text(f"a,b\n1.0,2.0\n\n3.0,{cell}\n")
+    with pytest.raises(DataError, match=r"d\.csv:4: .*non-finite"):
         read_csv_dataset(path)
 
 
