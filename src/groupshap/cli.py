@@ -8,6 +8,7 @@ run.json config echo so results can be reproduced bit for bit.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -87,6 +88,20 @@ class _UsageError(Exception):
     """A flag or config value the command cannot run with (exit 1)."""
 
 
+@contextlib.contextmanager
+def _usage_errors():
+    """Report a ValueError from a call given flag or config values as exit 1.
+
+    The library raises ValueError for argument values it cannot take and a
+    typed GroupShapError for bad data, so wrap only calls that take flag or
+    config values.
+    """
+    try:
+        yield
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; the exit-code contract wants 1."""
 
@@ -129,13 +144,17 @@ def _float_list(text: str) -> list[float]:
     return [float(item) for item in _csv_list(text)]
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise _UsageError(f"alpha must be in (0, 1), got {alpha!r}")
+
+
 def _checked_tests(text: str, alpha: float) -> tuple[str, ...]:
     """The --tests list, after checking it and alpha."""
     tests = tuple(_csv_list(text))
     if not tests or not set(tests) <= set(TESTS):
         raise _UsageError(f"--tests {text!r}: choose one or more of {','.join(TESTS)}")
-    if not 0.0 < alpha < 1.0:
-        raise _UsageError(f"alpha must be in (0, 1), got {alpha!r}")
+    _check_alpha(alpha)
     return tests
 
 
@@ -145,13 +164,14 @@ def _checked_tests(text: str, alpha: float) -> tuple[str, ...]:
 
 def _cmd_train(args) -> int:
     data = read_csv_dataset(args.data, target=args.target)
-    model = train_gbm(
-        data,
-        n_trees=args.n_trees,
-        max_depth=args.max_depth,
-        learning_rate=args.learning_rate,
-        min_samples_leaf=args.min_samples_leaf,
-    )
+    with _usage_errors():
+        model = train_gbm(
+            data,
+            n_trees=args.n_trees,
+            max_depth=args.max_depth,
+            learning_rate=args.learning_rate,
+            min_samples_leaf=args.min_samples_leaf,
+        )
     save_model(model, args.out)
     out_dir = os.path.dirname(os.path.abspath(args.out))
     _write_run_config(out_dir, args, outputs=[args.out])
@@ -278,7 +298,8 @@ def _cmd_test(args) -> int:
     return EXIT_OK
 
 
-def _cmd_simulate(args) -> int:
+def _simulate_specs(args) -> tuple[list, tuple[str, ...], int]:
+    """The cells, tests and seed of a simulate run, from its flags and config."""
     overrides = read_simspec_file(args.config) if args.config else {}
     models = _csv_list(args.models) if args.models else [overrides.get("model", "normal")]
     ks = _int_list(args.k) if args.k else [overrides.get("k", 20)]
@@ -297,15 +318,22 @@ def _cmd_simulate(args) -> int:
         rhos = _float_list(args.rho) if args.rho else [overrides.get("rho", 0.5)]
         if args.profile == "paper":
             rhos = [0.2, 0.5, 0.8]
-        specs = grid_specs(models, ks, ss, rhos, "null", reps, seed, alpha, sigma2)
-        result = run_size_grid(specs, tests, master_seed=seed)
-    else:
-        rhos = _float_list(args.rho) if args.rho else [0.5]
-        alternatives = _csv_list(args.alternatives)
-        specs = []
-        for alt in alternatives:
-            specs.extend(grid_specs(models, ks, ss, rhos, alt, reps, seed, alpha, sigma2))
-        result = run_power_grid(specs, tests, master_seed=seed)
+        return grid_specs(models, ks, ss, rhos, "null", reps, seed, alpha, sigma2), tests, seed
+    rhos = _float_list(args.rho) if args.rho else [0.5]
+    alternatives = _csv_list(args.alternatives)
+    if "null" in alternatives:
+        raise _UsageError("--alternatives: power needs sparse or dense shifts, not null")
+    specs = []
+    for alt in alternatives:
+        specs.extend(grid_specs(models, ks, ss, rhos, alt, reps, seed, alpha, sigma2))
+    return specs, tests, seed
+
+
+def _cmd_simulate(args) -> int:
+    with _usage_errors():
+        specs, tests, seed = _simulate_specs(args)
+    run = run_size_grid if args.kind == "size" else run_power_grid
+    result = run(specs, tests, master_seed=seed)
     written = emit_tables(result, args.out, tests)
     _write_run_config(args.out, args, seed=seed, outputs=written)
     for path in written:
@@ -416,8 +444,10 @@ def pipeline_demo(
 
 
 def _cmd_demo(args) -> int:
+    _check_alpha(args.alpha)
     seed = _resolve_seed(args.seed)
-    pipeline_demo(seed, n=args.n, n_groups=args.groups, alpha=args.alpha, out_dir=args.out)
+    with _usage_errors():
+        pipeline_demo(seed, n=args.n, n_groups=args.groups, alpha=args.alpha, out_dir=args.out)
     if args.out:
         _write_run_config(args.out, args, seed=seed)
     return EXIT_OK

@@ -42,7 +42,7 @@ class GroupingError(GroupShapError):
 
 
 class CoalitionBudgetExceeded(GroupShapError):
-    """Exact enumeration was requested for too many groups."""
+    """Exact enumeration met a tree that splits on too many groups."""
 
 
 class SampleTooSmall(GroupShapError):

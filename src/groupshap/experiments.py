@@ -396,8 +396,6 @@ def format_grid_table(result: GridResult, tests=DEFAULT_TESTS) -> str:
 
 def emit_tables(result: GridResult, out_dir, tests=DEFAULT_TESTS) -> list[str]:
     """Write CSV + aligned-text tables (and are.csv for size grids)."""
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     is_size = all(c.alternative == Alternative.NULL.value for c in result.cells)
     stem = "size_table" if is_size else "power_table"

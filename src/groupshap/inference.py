@@ -60,6 +60,8 @@ def _as_phi(phi) -> np.ndarray:
         phi = phi[:, None]
     if phi.ndim != 2:
         raise ShapeError(f"expected an S x K matrix, got ndim={phi.ndim}")
+    if not np.isfinite(phi).all():
+        raise ShapeError("attribution matrix holds a non-finite value")
     return phi
 
 

@@ -1,17 +1,19 @@
 """Group Shapley attribution for tree ensembles.
 
-Two routes to the same quantity: an exact coalition enumeration that treats
-each feature group as one player, and a fast per-node walk along each
-observation's decision path. Both share one value function: path-dependent
-cover-weighted marginalization, so the exact oracle and the fast method are
-directly comparable.
+Two routes with different definitions. The exact route is the Shapley value
+of the game whose players are the feature groups and whose value function is
+path-dependent cover-weighted marginalization. The ensemble's game is the
+sum of its trees' games and Shapley values are linear, so it is solved one
+tree at a time over the groups that tree splits on. The path route walks each
+observation's decision path and credits every split's change in node value to
+the group of the split feature (a Saabas-style attribution); it equals the
+exact value only on stumps.
 
-The value function and the exact enumeration take one feature vector or an
-S x F matrix. On a matrix every tree node is evaluated for all rows at once,
-and each of the 2^K coalition values is computed once per block of rows; the
-blocks keep that cache at EXACT_CACHE_FLOATS floats or fewer. Each row goes
-through the same floating-point operations either way, so its attributions
-have the same bits whether it is passed alone or inside a matrix.
+The value function and the exact route take one feature vector or an S x F
+matrix. On a matrix every tree node is evaluated for all rows at once; each
+row goes through the same floating-point operations either way, so its
+attributions have the same bits whether it is passed alone or inside a
+matrix.
 """
 
 from __future__ import annotations
@@ -25,9 +27,8 @@ import numpy as np
 from .errors import CoalitionBudgetExceeded, GroupingError, ShapeError
 from .tree import LEAF, Tree, TreeEnsemble
 
+# most groups a single tree may split on for exact enumeration
 EXACT_GROUP_LIMIT = 20
-# most floats the coalition cache of exact_group_shapley holds at once
-EXACT_CACHE_FLOATS = 1 << 20
 
 
 @dataclass
@@ -229,56 +230,46 @@ def value_function(model: TreeEnsemble, x, active) -> float | np.ndarray:
 
 
 def exact_group_shapley(model: TreeEnsemble, x, grouping: FeatureGrouping) -> np.ndarray:
-    """Coalition enumeration of the group-level game: K players, 2^K values.
+    """Exact Shapley values of the group game, one tree at a time.
+
+    A tree's players are the k groups it splits on; the other groups are null
+    players of its game and get 0 from it. Each of its 2^k coalitions C is
+    valued once, and w(|C| - 1) v(C) is added to every member and w(|C|) v(C)
+    subtracted from every non-member, with w(c) = c! (k - c - 1)! / k!. No
+    tree may split on more than EXACT_GROUP_LIMIT groups.
 
     ``x`` is one feature vector (returns the K values) or an S x F matrix
-    (returns S x K). Each coalition's value is computed once for a block of
-    rows, so the cache holds 2^K vectors; blocks are sized to keep it at
-    EXACT_CACHE_FLOATS floats or fewer, the size a single row's cache reaches
-    at EXACT_GROUP_LIMIT groups. A row's values have the same bits whether it
-    is passed alone or inside a matrix.
+    (returns S x K). A row's values have the same bits whether it is passed
+    alone or inside a matrix.
     """
     if grouping.n_features != model.n_features:
         raise ShapeError("grouping does not match the model's feature count")
-    K = grouping.n_groups
-    if K > EXACT_GROUP_LIMIT:
-        raise CoalitionBudgetExceeded(
-            f"{K} groups exceed the exact enumeration limit of {EXACT_GROUP_LIMIT}; "
-            "use tree_group_shap instead"
-        )
     x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != model.n_features:
+        raise ShapeError(f"expected {model.n_features} features, got shape {x.shape}")
     X = np.atleast_2d(x)
+    f2g = grouping.feature_to_group()
+    players = [np.unique(f2g[t.feature[t.feature != LEAF]]) for t in model.trees]
+    for i, p in enumerate(players):
+        if len(p) > EXACT_GROUP_LIMIT:
+            raise CoalitionBudgetExceeded(
+                f"tree {i} splits on {len(p)} groups, over the exact enumeration "
+                f"limit of {EXACT_GROUP_LIMIT} per tree; use tree_group_shap instead"
+            )
     group_feats = [idx for _, idx in grouping.groups]
-
-    cache: dict[int, np.ndarray] = {}
-
-    def v(mask: int) -> np.ndarray:
-        got = cache.get(mask)
-        if got is None:
-            feats: list[int] = []
-            for j in range(K):
-                if mask >> j & 1:
-                    feats.extend(group_feats[j])
-            got = value_function(model, xb, feats)
-            cache[mask] = got
-        return got
-
-    # coalition weight |C|! (K - |C| - 1)! / K!
-    fact = [math.factorial(n) for n in range(K + 1)]
-    w = [fact[c] * fact[K - c - 1] / fact[K] for c in range(K)]
-
-    block = max(1, EXACT_CACHE_FLOATS >> K)
-    phi = np.zeros((X.shape[0], K))
-    for start in range(0, X.shape[0], block):
-        xb = X[start : start + block]
-        cache.clear()
-        for j in range(K):
-            bit = 1 << j
-            for mask in range(1 << K):
-                if mask & bit:
-                    continue
-                c = bin(mask).count("1")
-                phi[start : start + block, j] += w[c] * (v(mask | bit) - v(mask))
+    phi = np.zeros((X.shape[0], grouping.n_groups))
+    for t, p in zip(model.trees, players):
+        k = len(p)
+        game = TreeEnsemble([t], model.n_features, 0.0)
+        w = [1 / (k * math.comb(k - 1, c)) for c in range(k)]  # c! (k-c-1)! / k!
+        phi_t = np.zeros((X.shape[0], k))
+        for mask in range(1 << k):
+            member = [mask >> j & 1 for j in range(k)]
+            c = sum(member)
+            feats = [f for j in range(k) if member[j] for f in group_feats[p[j]]]
+            coef = np.array([w[c - 1] if m else -w[c] for m in member])
+            phi_t += value_function(game, X, feats)[:, None] * coef
+        phi[:, p] += phi_t
     return phi[0] if x.ndim == 1 else phi
 
 
@@ -320,10 +311,6 @@ def tree_group_shap(model: TreeEnsemble, X, grouping: FeatureGrouping) -> ShapMa
     """
     if grouping.n_features != model.n_features:
         raise ShapeError("grouping does not match the model's feature count")
-    from .tree import Dataset
-
-    if isinstance(X, Dataset):
-        X = X.X
     X = _as_matrix(X, model.n_features)
     S = X.shape[0]
     K = grouping.n_groups

@@ -157,7 +157,10 @@ def read_simspec_file(path) -> dict:
             key = key.lower()
             if key not in fields:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = fields[key](value)
+            try:
+                out[key] = fields[key](value)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: bad value {value!r} for {key!r}") from None
     return out
 
 

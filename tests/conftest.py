@@ -74,6 +74,14 @@ def build_tree(spec) -> Tree:
     )
 
 
+def chain_tree(features) -> Tree:
+    """A tree that splits on each of `features` in turn down its left spine."""
+    spec = (0.0, 1.0)
+    for i, f in enumerate(reversed(list(features))):
+        spec = (f, 0.5, spec, (float(i + 1), 1.0))
+    return build_tree(spec)
+
+
 def random_tree(rng, n_features, depth) -> Tree:
     """Random full-ish tree with valid covers and cover-weighted values."""
 

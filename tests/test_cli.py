@@ -11,6 +11,9 @@ import pytest
 from groupshap.cli import main, pipeline_demo
 from groupshap.shapley import ShapMatrix, write_grouping_file
 from groupshap.simgen import synth_regression
+from groupshap.tree import TreeEnsemble, save_model
+
+from conftest import chain_tree
 
 
 @pytest.fixture
@@ -82,19 +85,20 @@ def test_explain_exact_matches_tree_on_stump_like_model(tmp_path, dataset_csv):
 def test_exact_budget_exceeded_exits_two(tmp_path, capsys):
     rng = np.random.default_rng(0)
     n_feat = 25
+    names = [f"f{i}" for i in range(n_feat)]
     data_path = tmp_path / "wide.csv"
     with open(data_path, "w", newline="") as fh:
         w = csv.writer(fh)
-        names = [f"f{i}" for i in range(n_feat)]
         w.writerow(names + ["y"])
         for _ in range(40):
             row = rng.uniform(size=n_feat)
             w.writerow([repr(float(v)) for v in row] + [repr(float(row[0])) ])
     groups_path = tmp_path / "wide_groups.txt"
     groups_path.write_text("".join(f"s{i}: f{i}\n" for i in range(n_feat)))
+    # one tree that splits on 21 distinct groups
+    model = TreeEnsemble([chain_tree(range(21))], n_feat, 0.0, feature_names=names)
     model_path = tmp_path / "wide.model"
-    assert main(["train", "--data", str(data_path), "--target", "y",
-                 "--out", str(model_path), "--n-trees", "2", "--max-depth", "1"]) == 0
+    save_model(model, model_path)
     code = main(["explain", "--model", str(model_path), "--data", str(data_path),
                  "--target", "y", "--groups", str(groups_path),
                  "--method", "exact", "--out", str(tmp_path / "x.csv")])
@@ -196,6 +200,39 @@ def test_alpha_outside_unit_interval_exits_one(tmp_path, capsys, command, alpha)
     out = tmp_path / "out"
     assert main(command + args + ["--alpha", alpha, "--out", str(out)]) == 1
     assert "alpha must be in (0, 1)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "size", "--reps", "0"],
+        ["simulate", "size", "--k", "0"],
+        ["simulate", "size", "--k", "x"],
+        ["simulate", "size", "--sigma2", "-1"],
+        ["simulate", "size", "--models", "foo"],
+        ["simulate", "size", "--config", "unknown_key.cfg"],
+        ["simulate", "size", "--config", "bad_value.cfg"],
+        ["simulate", "power", "--alternatives", "null"],
+        ["demo", "--n", "10"],
+        ["demo", "--groups", "1"],
+        ["demo", "--alpha", "2"],
+        ["train", "--learning-rate", "2"],
+    ],
+    ids=" ".join,
+)
+def test_bad_flag_or_config_value_exits_one(tmp_path, dataset_csv, capsys, argv):
+    (tmp_path / "unknown_key.cfg").write_text("nope = 1\n")
+    (tmp_path / "bad_value.cfg").write_text("k = x\n")
+    argv = [str(tmp_path / a) if a.endswith(".cfg") else a for a in argv]
+    out = tmp_path / "out"
+    if argv[0] == "train":
+        argv += ["--data", str(dataset_csv[0]), "--target", "target", "--out", str(out)]
+    else:
+        argv += ["--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"groupshap {argv[0]}: " in err and "Traceback" not in err
     assert not out.exists()
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from groupshap.errors import DegenerateVariance, SampleTooSmall
+from groupshap.errors import DegenerateVariance, SampleTooSmall, ShapeError
 from groupshap.inference import (
     SampleMoments,
     _gs_from_moments,
@@ -407,6 +407,18 @@ def test_joint_detects_sparse_column_reduced_does_not():
     assert joint.reject
     assert not reduced.reject
     assert joint.p_value < reduced.p_value
+
+
+@pytest.mark.parametrize("test", [gs_test, cq_test, wald_test], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_cell_is_rejected(test, bad):
+    phi = np.random.default_rng(4).normal(size=(20, 3))
+    phi[7, 1] = bad
+    with pytest.raises(ShapeError, match="non-finite"):
+        test(phi)
+    name = test.__name__.removesuffix("_test")
+    with pytest.raises(ShapeError, match="non-finite"):
+        group_joint_test(phi, FeatureGrouping.singletons(3), tests=(name,))
 
 
 def test_group_joint_requires_enough_rows():

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from groupshap import shapley
 from groupshap.errors import CoalitionBudgetExceeded, GroupingError, ShapeError
 from groupshap.shapley import (
     FeatureGrouping,
@@ -22,6 +21,7 @@ from groupshap.tree import TreeEnsemble
 from conftest import (
     brute_force_group_shapley,
     build_tree,
+    chain_tree,
     random_ensemble,
     random_partition,
     random_stump_ensemble,
@@ -154,10 +154,7 @@ def test_exact_matches_brute_force_on_random_models(rng):
         )
 
 
-@pytest.mark.parametrize("cache_floats", [1 << 20, 40, 1])
-def test_matrix_form_matches_rows_bit_for_bit(rng, monkeypatch, cache_floats):
-    # a small cache budget splits the rows into blocks (down to one row each)
-    monkeypatch.setattr(shapley, "EXACT_CACHE_FLOATS", cache_floats)
+def test_matrix_form_matches_rows_bit_for_bit(rng):
     for _ in range(8):
         n_features = int(rng.integers(2, 7))
         model = random_ensemble(rng, n_features, int(rng.integers(1, 6)), 4)
@@ -185,10 +182,20 @@ def test_value_function_shapes():
 
 
 def test_budget_error_above_twenty_groups():
-    model = random_ensemble(np.random.default_rng(0), 21, 1, 2)
+    # one tree that splits on 21 distinct groups
+    model = TreeEnsemble(trees=[chain_tree(range(21))], n_features=21, base_score=0.0)
     grouping = FeatureGrouping.singletons(21)
-    with pytest.raises(CoalitionBudgetExceeded):
+    with pytest.raises(CoalitionBudgetExceeded, match="tree 0 splits on 21 groups"):
         exact_group_shapley(model, np.zeros(21), grouping)
+
+
+def test_zero_tree_ensemble_checks_row_width():
+    model = TreeEnsemble(trees=[], n_features=2, base_score=1.25)
+    grouping = FeatureGrouping.singletons(2)
+    np.testing.assert_array_equal(exact_group_shapley(model, np.zeros((3, 2)), grouping), 0.0)
+    for x in (np.zeros(3), np.zeros((4, 3)), np.zeros((2, 2, 2)), 0.0):
+        with pytest.raises(ShapeError):
+            exact_group_shapley(model, x, grouping)
 
 
 def test_individual_is_singleton_special_case(rng):
@@ -300,17 +307,21 @@ def test_null_group_gets_zero(rng):
 
 
 def test_stump_ensembles_make_path_attribution_exact(rng):
-    for _ in range(10):
-        n_features = int(rng.integers(2, 8))
-        model = random_stump_ensemble(rng, n_features, int(rng.integers(1, 6)))
-        groups = random_partition(rng, n_features, int(rng.integers(1, min(6, n_features) + 1)))
-        grouping = FeatureGrouping(groups, n_features)
-        x = rng.uniform(size=n_features)
+    def check(model, grouping):
+        x = rng.uniform(size=model.n_features)
         np.testing.assert_allclose(
             tree_group_shap(model, [x], grouping).values[0],
             exact_group_shapley(model, x, grouping),
             atol=1e-9,
         )
+
+    for _ in range(10):
+        n_features = int(rng.integers(2, 8))
+        model = random_stump_ensemble(rng, n_features, int(rng.integers(1, 6)))
+        groups = random_partition(rng, n_features, int(rng.integers(1, min(6, n_features) + 1)))
+        check(model, FeatureGrouping(groups, n_features))
+    # more groups than EXACT_GROUP_LIMIT, but each stump splits on one
+    check(random_stump_ensemble(rng, 25, 40), FeatureGrouping.singletons(25))
 
 
 def test_linearity_over_ensemble_concatenation(rng):
