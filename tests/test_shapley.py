@@ -154,7 +154,10 @@ def test_exact_matches_brute_force_on_random_models(rng):
         )
 
 
-def test_matrix_form_matches_rows_bit_for_bit(rng):
+@pytest.mark.parametrize("seed", [1 << 20, 40, 1])
+def test_matrix_form_matches_rows_bit_for_bit(seed):
+    # three independent draws of models, groupings and rows
+    rng = np.random.default_rng(seed)
     for _ in range(8):
         n_features = int(rng.integers(2, 7))
         model = random_ensemble(rng, n_features, int(rng.integers(1, 6)), 4)
