@@ -23,7 +23,7 @@ from .simgen import Alternative, SimSpec, ZModel, generate
 DEFAULT_TESTS = ("wald", "cq", "gs")
 # K * S of the largest cell from which the grid runs its cells on a thread
 # pool. Above it a replication is mostly BLAS/LAPACK work, which releases the
-# GIL; below it, mostly Python and scipy.stats overhead, which the pool only
+# GIL; below it, mostly per-replication Python work, which the pool only
 # contends for (on 2 cores, serial/pooled time was 0.8-0.9 at K*S = 1e3 and
 # 1.3-1.8 from 1.5e4 on).
 POOL_MIN_CELL_SIZE = 10_000

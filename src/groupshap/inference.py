@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import stats
+from scipy import linalg, special
 
 from .errors import DegenerateVariance, SampleTooSmall, ShapeError
 from .shapley import FeatureGrouping
@@ -256,16 +256,16 @@ def _gs_from_moments(m: SampleMoments, alpha: float) -> TestReport:
     if not approx.normal_fallback:
         d = approx.d
         dfd = (m.S - 1) * d
-        f_crit = float(stats.f.isf(alpha, d, dfd))
+        f_crit = float(special.fdtri(d, dfd, 1.0 - alpha))
         if math.isfinite(f_crit):
             crit = (f_crit - 1.0) * math.sqrt(d / 2.0)
-            p = float(stats.f.sf(1.0 + math.sqrt(2.0 / d) * stat, d, dfd))
+            p = float(special.fdtrc(d, dfd, max(1.0 + math.sqrt(2.0 / d) * stat, 0.0)))
         else:
             # the F quantile is nan from d ~ 1e17: use the normal reference
             approx = replace(approx, normal_fallback=True)
     if approx.normal_fallback:
-        crit = float(stats.norm.isf(alpha))
-        p = float(stats.norm.sf(stat))
+        crit = float(-special.ndtri(alpha))
+        p = float(special.ndtr(-stat))
     report = TestReport(
         test="gs",
         alpha=alpha,
@@ -318,14 +318,14 @@ def _wald_from_moments(m: SampleMoments, alpha: float) -> TestReport:
             "SingularCovariance",
             reason="covariance condition number too large",
         )
-    z = np.linalg.solve(chol, m.mean)  # cov^-1 quadratic form via Cholesky
+    z = linalg.solve_triangular(chol, m.mean, lower=True, check_finite=False)
     quad = float(z @ z)
     stat = quad / math.sqrt(S)
     t2 = S * quad
     f_stat = (S - K) / (K * (S - 1)) * t2
     dfn, dfd = K, S - K
-    p = float(stats.f.sf(f_stat, dfn, dfd))
-    f_crit = float(stats.f.isf(alpha, dfn, dfd))
+    p = float(special.fdtrc(dfn, dfd, f_stat))
+    f_crit = float(special.fdtri(dfn, dfd, 1.0 - alpha))
     crit = f_crit * K * (S - 1) / ((S - K) * S**1.5)
     return TestReport(
         test="wald",
@@ -350,8 +350,8 @@ def _cq_from_moments(m: SampleMoments, alpha: float) -> TestReport:
     except DegenerateVariance as exc:
         return _degenerate_report("cq", alpha, "DegenerateVariance", reason=str(exc))
     stat = t1.normalized
-    crit = float(stats.norm.isf(alpha))
-    p = float(stats.norm.sf(stat))
+    crit = float(-special.ndtri(alpha))
+    p = float(special.ndtr(-stat))
     return TestReport(
         test="cq",
         alpha=alpha,

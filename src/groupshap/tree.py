@@ -283,6 +283,11 @@ def train_gbm(
         raise TargetRequired("train_gbm needs a dataset with a target column")
     if not 0.0 < learning_rate <= 1.0:
         raise ValueError("learning_rate must be in (0, 1]")
+    for name, value in [
+        ("n_trees", n_trees), ("max_depth", max_depth), ("min_samples_leaf", min_samples_leaf)
+    ]:
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     if data.n_rows < 2 * min_samples_leaf:
         raise DataError(
             f"need at least {2 * min_samples_leaf} rows, got {data.n_rows}"

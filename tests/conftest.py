@@ -1,5 +1,12 @@
 """Shared tree builders and independent oracles for the test suite."""
 
+import os
+
+# One BLAS thread, set before numpy loads: the grid's thread pool already
+# occupies the cores, and BLAS threads on top of it oversubscribe them.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 import itertools
 import math
 

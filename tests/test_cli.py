@@ -218,6 +218,11 @@ def test_alpha_outside_unit_interval_exits_one(tmp_path, capsys, command, alpha)
         ["demo", "--groups", "1"],
         ["demo", "--alpha", "2"],
         ["train", "--learning-rate", "2"],
+        ["train", "--n-trees", "0"],
+        ["train", "--n-trees", "-1"],
+        ["train", "--min-samples-leaf", "0"],
+        ["train", "--max-depth", "-1"],
+        ["train", "--max-depth", "0"],
     ],
     ids=" ".join,
 )
@@ -299,6 +304,13 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "groupshap" in proc.stdout
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    # a fresh interpreter: scipy.stats was most of the CLI's start-up time and memory
+    code = "import sys, groupshap.cli; assert 'scipy.stats' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 # --------------------------------------------------------------------------

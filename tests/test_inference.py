@@ -12,7 +12,9 @@ from scipy import stats
 from groupshap.errors import DegenerateVariance, SampleTooSmall, ShapeError
 from groupshap.inference import (
     SampleMoments,
+    _cq_from_moments,
     _gs_from_moments,
+    _wald_from_moments,
     chi_sq_approx,
     cq_test,
     group_joint_test,
@@ -367,6 +369,65 @@ def test_cq_statistic_is_normalized_u(rng):
     t1 = t1_statistic(m)
     assert rep.statistic == pytest.approx(t1.normalized, rel=1e-12)
     assert rep.details["u_statistic"] == pytest.approx(_pairwise_u(phi), rel=1e-10)
+
+
+# --------------------------------------------------------------------------
+# calibration: the tests call scipy.special kernels, scipy.stats is the oracle
+
+
+def test_gs_calibration_equals_scipy_stats_bit_for_bit():
+    rng = np.random.default_rng(20250106)
+    for _ in range(400):
+        S, K = int(rng.integers(4, 400)), int(rng.integers(1, 60))
+        alpha = float(10 ** rng.uniform(-6, math.log10(0.5)))
+        # k2 and d drawn directly; k3 follows from d = 8 k2^3 / k3^2
+        k2, d = float(10 ** rng.uniform(-3, 3)), float(10 ** rng.uniform(-1, 8))
+        k3 = rng.choice([-1.0, 1.0]) * math.sqrt(8.0 * k2**3 / d)
+        m = _synthetic_moments(
+            S, K, tr2_hat=k2 * S * (S - 1) / 2, tr3_hat=k3 * S**2 * (S - 1) ** 2 / (8 * (S - 2)),
+            mean=rng.normal(scale=float(10 ** rng.uniform(-2, 0.5)), size=K),
+            tr1=float(rng.uniform(0.0, 3.0 * K)),
+        )
+        rep = _gs_from_moments(m, alpha)
+        d_hat, dfd = rep.approx.d, (S - 1) * rep.approx.d
+        assert not rep.approx.normal_fallback
+        f_crit = stats.f.isf(alpha, d_hat, dfd)
+        assert rep.critical_value == (f_crit - 1.0) * math.sqrt(d_hat / 2.0)
+        x = 1.0 + math.sqrt(2.0 / d_hat) * rep.statistic
+        assert rep.p_value == stats.f.sf(x, d_hat, dfd)
+        assert rep.reject == (rep.p_value <= alpha)
+
+
+def test_gs_p_value_is_one_where_f_argument_is_not_positive():
+    # d = 1, k2 = 2, mean 0 and tr1 = 30 at S = 10: T = -3 / sqrt(2), so the
+    # F argument 1 + sqrt(2) T = -2 lies below the support of F(1, 9)
+    S = 10
+    m = _synthetic_moments(
+        S, 4, tr2_hat=S * (S - 1), tr3_hat=S**2 * (S - 1) ** 2 / (S - 2), tr1=30.0
+    )
+    rep = _gs_from_moments(m, alpha=0.05)
+    assert 1.0 + math.sqrt(2.0 / rep.approx.d) * rep.statistic == pytest.approx(-2.0)
+    assert rep.p_value == 1.0 == stats.f.sf(-2.0, 1.0, 9.0)
+    assert rep.reject is False
+
+
+def test_wald_and_cq_calibration_equal_scipy_stats_bit_for_bit():
+    rng = np.random.default_rng(20250107)
+    for _ in range(300):
+        S = int(rng.integers(5, 80))
+        K = int(rng.integers(1, S))
+        alpha = float(10 ** rng.uniform(-6, math.log10(0.5)))
+        phi = rng.normal(loc=rng.normal(scale=0.5, size=K), size=(S, K))
+        m = moments(phi)
+        wald = _wald_from_moments(m, alpha)
+        assert wald.degenerate is None
+        dfn, dfd = wald.details["df"]
+        assert wald.p_value == stats.f.sf(wald.details["f_statistic"], dfn, dfd)
+        crit = stats.f.isf(alpha, dfn, dfd) * K * (S - 1) / ((S - K) * S**1.5)
+        assert wald.critical_value == crit
+        cq = _cq_from_moments(m, alpha)
+        assert cq.critical_value == stats.norm.isf(alpha)
+        assert cq.p_value == stats.norm.sf(cq.statistic)
 
 
 # --------------------------------------------------------------------------
