@@ -1,8 +1,9 @@
 """Command-line pipeline: train, explain, test, simulate, analyze, demo.
 
-Exit codes: 0 success, 1 usage error, 2 data/model validation error,
-3 degenerate-statistics error. Every run with an output directory writes a
-run.json config echo so results can be reproduced bit for bit.
+Exit codes: 0 success, 1 usage error, 2 data/model validation error or a
+file that cannot be read or written, 3 degenerate-statistics error. Every
+run with an output directory writes a run.json config echo so results can be
+reproduced bit for bit.
 """
 
 from __future__ import annotations
@@ -21,16 +22,10 @@ import numpy as np
 from . import __version__
 from .errors import (
     AREUnavailable,
-    CoalitionBudgetExceeded,
     DegenerateConcentration,
     DegenerateVariance,
-    GroupingError,
     GroupShapError,
-    InvalidCorrelation,
-    ModelFileError,
     SampleTooSmall,
-    ShapeError,
-    TargetRequired,
 )
 from .experiments import (
     ConcentrationReport,
@@ -66,16 +61,6 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_DEGENERATE = 3
 
-_DATA_ERRORS = (
-    DataError,
-    TargetRequired,
-    ModelFileError,
-    GroupingError,
-    ShapeError,
-    CoalitionBudgetExceeded,
-    InvalidCorrelation,
-    FileNotFoundError,
-)
 _DEGENERATE_ERRORS = (
     SampleTooSmall,
     DegenerateVariance,
@@ -542,10 +527,7 @@ def main(argv=None) -> int:
     except _DEGENERATE_ERRORS as exc:
         print(f"groupshap {args.command}: degenerate statistics: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except _DATA_ERRORS as exc:
-        print(f"groupshap {args.command}: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except GroupShapError as exc:
+    except (GroupShapError, OSError) as exc:
         print(f"groupshap {args.command}: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -85,12 +85,15 @@ def moments(phi) -> SampleMoments:
     tr1 = float(np.trace(a))
     t2 = float((a * a).sum())
     t3 = float(((a @ a) * a).sum())
-    tr2_hat = (S - 1) ** 2 / ((S - 2) * (S + 1)) * (t2 - tr1**2 / (S - 1))
-    tr3_hat = (
-        (S - 1) ** 4
-        / ((S**2 + S - 6) * (S**2 - 2 * S - 3))
-        * (t3 - 3 * tr1 * t2 / (S - 1) + 2 * tr1**3 / (S - 1) ** 2)
-    )
+    try:
+        tr2_hat = (S - 1) ** 2 / ((S - 2) * (S + 1)) * (t2 - tr1**2 / (S - 1))
+        tr3_hat = (
+            (S - 1) ** 4
+            / ((S**2 + S - 6) * (S**2 - 2 * S - 3))
+            * (t3 - 3 * tr1 * t2 / (S - 1) + 2 * tr1**3 / (S - 1) ** 2)
+        )
+    except OverflowError:  # tr1 beyond the float range when cubed
+        tr2_hat = tr3_hat = math.nan
     return SampleMoments(
         mean=mean,
         S=S,
@@ -223,7 +226,7 @@ def gs_test(phi, alpha: float = 0.05) -> TestReport:
     S -> infinity the reference tends to chi2_d / d, i.e. x to
     (chi2_d - d)/sqrt(2 d).
     """
-    return _gs_from_moments(moments(phi), alpha)
+    return run_tests_from_moments(moments(phi), alpha, ("gs",))[0]
 
 
 def _gs_from_moments(m: SampleMoments, alpha: float) -> TestReport:
@@ -295,7 +298,7 @@ def wald_test(phi, alpha: float = 0.05) -> TestReport:
     Returns a degenerate report whenever K >= S or the covariance is
     numerically singular.
     """
-    return _wald_from_moments(moments(phi), alpha)
+    return run_tests_from_moments(moments(phi), alpha, ("wald",))[0]
 
 
 def _wald_from_moments(m: SampleMoments, alpha: float) -> TestReport:
@@ -341,7 +344,7 @@ def _wald_from_moments(m: SampleMoments, alpha: float) -> TestReport:
 def cq_test(phi, alpha: float = 0.05) -> TestReport:
     """Pairwise U-statistic standardized by the unbiased tr(Sigma^2) estimate,
     referenced to the standard normal."""
-    return _cq_from_moments(moments(phi), alpha)
+    return run_tests_from_moments(moments(phi), alpha, ("cq",))[0]
 
 
 def _cq_from_moments(m: SampleMoments, alpha: float) -> TestReport:
@@ -366,12 +369,29 @@ def _cq_from_moments(m: SampleMoments, alpha: float) -> TestReport:
 TESTS = {"gs": _gs_from_moments, "wald": _wald_from_moments, "cq": _cq_from_moments}
 
 
+def _checked_report(test: str, m: SampleMoments, alpha: float) -> TestReport:
+    """One test's report, degenerate if its arithmetic left the float range.
+
+    The cumulants are degree 4 and 6 in the attributions, so magnitudes beyond
+    about 1e25 overflow them and below about 1e-27 underflow them.
+    """
+    try:
+        rep = TESTS[test](m, alpha)
+        if rep.degenerate is None and not (
+            math.isfinite(rep.statistic) and math.isfinite(rep.p_value)
+        ):
+            raise OverflowError("non-finite statistic or p-value")
+    except (OverflowError, ZeroDivisionError) as exc:
+        return _degenerate_report(test, alpha, "FloatRange", reason=str(exc))
+    return rep
+
+
 def run_tests_from_moments(m: SampleMoments, alpha: float, tests) -> list[TestReport]:
     """Dispatch several tests against one precomputed moments object."""
     unknown = [t for t in tests if t not in TESTS]
     if unknown:
         raise ValueError(f"unknown tests: {unknown}; choose from {sorted(TESTS)}")
-    return [TESTS[t](m, alpha) for t in tests]
+    return [_checked_report(t, m, alpha) for t in tests]
 
 
 def group_joint_test(

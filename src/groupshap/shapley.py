@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoalitionBudgetExceeded, GroupingError, ShapeError
-from .tree import LEAF, Tree, TreeEnsemble
+from .tree import LEAF, Tree, TreeEnsemble, read_numeric_csv
 
 # most groups a single tree may split on for exact enumeration
 EXACT_GROUP_LIMIT = 20
@@ -90,31 +90,35 @@ def read_grouping_file(path, feature_names: list[str]) -> FeatureGrouping:
     """
     index = {name: i for i, name in enumerate(feature_names)}
     groups: list[tuple[str, list[int]]] = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if ":" not in line:
-                raise GroupingError(f"{path}:{lineno}: expected 'name: feat, feat'")
-            name, rest = line.split(":", 1)
-            name = name.strip()
-            feats = [f.strip() for f in rest.split(",") if f.strip()]
-            if not feats:
-                raise GroupingError(f"{path}:{lineno}: group {name!r} lists no features")
-            idx = []
-            for f in feats:
-                if f not in index:
-                    raise GroupingError(
-                        f"{path}:{lineno}: unknown feature {f!r} in group {name!r}"
-                    )
-                idx.append(index[f])
-            groups.append((name, idx))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise GroupingError(f"{path}: not UTF-8 text") from None
+    for lineno, line in enumerate(lines, start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if ":" not in line:
+            raise GroupingError(f"{path}:{lineno}: expected 'name: feat, feat'")
+        name, rest = line.split(":", 1)
+        name = name.strip()
+        feats = [f.strip() for f in rest.split(",") if f.strip()]
+        if not feats:
+            raise GroupingError(f"{path}:{lineno}: group {name!r} lists no features")
+        idx = []
+        for f in feats:
+            if f not in index:
+                raise GroupingError(
+                    f"{path}:{lineno}: unknown feature {f!r} in group {name!r}"
+                )
+            idx.append(index[f])
+        groups.append((name, idx))
     return FeatureGrouping(groups, n_features=len(feature_names))
 
 
 def write_grouping_file(grouping: FeatureGrouping, feature_names: list[str], path) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for name, idx in grouping.groups:
             fh.write(f"{name}: {', '.join(feature_names[i] for i in idx)}\n")
 
@@ -140,48 +144,23 @@ class ShapMatrix:
         return self.values.shape[0]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["obs_id", "base"] + list(self.group_names))
-            for s in range(self.n_obs):
-                w.writerow(
-                    [s, repr(float(self.base_values[s]))]
-                    + [repr(float(v)) for v in self.values[s]]
-                )
+        """Write ``obs_id, base, <groups...>`` rows, each float as its repr."""
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerow(["obs_id", "base"] + list(self.group_names))
+            rows = np.column_stack([self.base_values, self.values]).tolist()
+            fh.writelines(f"{s},{','.join(map(repr, row))}\r\n" for s, row in enumerate(rows))
 
 
 def read_shap_csv(path) -> ShapMatrix:
     """Read an attribution CSV written by ShapMatrix.to_csv.
 
-    Every row needs the header's field count, and its base and group cells
-    must be finite numbers; anything else is a ShapeError naming file:line.
+    The ``obs_id`` cells are labels; every base and group cell must be a
+    finite number. Anything else is a ShapeError (see read_numeric_csv).
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or len(header) < 3 or header[:2] != ["obs_id", "base"]:
-            raise ShapeError(f"{path}: expected header 'obs_id, base, <groups...>'")
-        names = header[2:]
-        rows, linenos = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ShapeError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            try:
-                rows.append([float(v) for v in row[1:]])
-            except ValueError:
-                raise ShapeError(f"{path}:{lineno}: non-numeric value") from None
-            linenos.append(lineno)
-    if not rows:
-        raise ShapeError(f"{path}: no data rows")
-    cells = np.asarray(rows)
-    finite = np.isfinite(cells).all(axis=1)
-    if not finite.all():
-        raise ShapeError(f"{path}:{linenos[int(np.argmin(finite))]}: non-finite value")
-    return ShapMatrix(np.ascontiguousarray(cells[:, 1:]), cells[:, 0].copy(), names)
+    header, cells = read_numeric_csv(path, ShapeError, labels=1)
+    if len(header) < 3 or header[:2] != ["obs_id", "base"]:
+        raise ShapeError(f"{path}: expected header 'obs_id, base, <groups...>'")
+    return ShapMatrix(np.ascontiguousarray(cells[:, 1:]), cells[:, 0].copy(), header[2:])
 
 
 # --------------------------------------------------------------------------

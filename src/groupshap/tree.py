@@ -121,41 +121,53 @@ class Dataset:
         return self.X.shape[1]
 
 
+def read_numeric_csv(path, error, labels: int = 0) -> tuple[list[str], np.ndarray]:
+    """Read a comma-delimited UTF-8 CSV with a header row as ``(header, cells)``.
+
+    The first ``labels`` fields of each row are text and are skipped; the rest
+    are parsed with ``float`` into ``cells``, one row per non-blank line. An
+    empty file, a header with no data rows, bytes that are not UTF-8, and a
+    ragged row, non-numeric cell or non-finite value (named by file:line)
+    raise ``error``.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise error(f"{path}: empty file")
+            rows, linenos = [], []
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise error(
+                        f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
+                    )
+                try:
+                    rows.append(list(map(float, row[labels:])))
+                except ValueError:
+                    raise error(f"{path}:{lineno}: non-numeric value") from None
+                linenos.append(lineno)
+    except UnicodeDecodeError:
+        raise error(f"{path}: not UTF-8 text") from None
+    if not rows:
+        raise error(f"{path}: no data rows")
+    cells = np.asarray(rows, dtype=float)
+    finite = np.isfinite(cells).all(axis=1)
+    if not finite.all():
+        raise error(f"{path}:{linenos[int(np.argmin(finite))]}: non-finite value")
+    return header, cells
+
+
 def read_csv_dataset(path, target: str | None = None) -> Dataset:
     """Load a comma-delimited CSV with a header row.
 
     If ``target`` names a column, it becomes ``y`` and is dropped from ``X``.
     Missing, non-numeric and non-finite cells are rejected.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        rows, linenos = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            try:
-                rows.append([float(cell) for cell in row])
-            except ValueError:
-                raise DataError(
-                    f"{path}:{lineno}: non-numeric or missing value"
-                ) from None
-            linenos.append(lineno)
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    data = np.asarray(rows, dtype=float)
-    finite = np.isfinite(data).all(axis=1)
-    if not finite.all():
-        lineno = linenos[int(np.argmin(finite))]
-        raise DataError(f"{path}:{lineno}: missing or non-finite values are not supported")
+    header, data = read_numeric_csv(path, DataError)
+    header = [h.strip() for h in header]
     y = None
     if target is not None:
         if target not in header:
@@ -476,11 +488,13 @@ def _validate_covers_and_values(t: Tree, ti: int) -> None:
 
 def load_model(path) -> TreeEnsemble:
     """Read a model file, re-validating every node invariant."""
-    with open(path) as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelParseError(f"{path}: invalid JSON: {exc}") from None
+    except UnicodeDecodeError:
+        raise ModelParseError(f"{path}: not UTF-8 text") from None
+    except json.JSONDecodeError as exc:
+        raise ModelParseError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ModelParseError(f"{path}: top level must be an object")
     try:

@@ -1,13 +1,20 @@
 """CLI behavior: exit codes, determinism, end-to-end pipeline, config echo."""
 
+import contextlib
 import csv
+import io
 import json
+import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import groupshap
 from groupshap.cli import main, pipeline_demo
 from groupshap.shapley import ShapMatrix, write_grouping_file
 from groupshap.simgen import synth_regression
@@ -181,7 +188,91 @@ def test_non_finite_data_cell_exits_two(tmp_path, dataset_csv, capsys, command):
     capsys.readouterr()
     assert main(train if command == "train" else explain) == 2
     err = capsys.readouterr().err
-    assert "d.csv:6: missing or non-finite" in err and "Traceback" not in err
+    assert "d.csv:6: non-finite value" in err and "Traceback" not in err
+
+
+def _explain_argv(tmp_path, dataset_csv, **paths):
+    """A working train+explain pair of argument lists, with any path replaced."""
+    data_path, groups_path, _ = dataset_csv
+    p = {"data": data_path, "groups": groups_path, "model": tmp_path / "m.model",
+         "out": tmp_path / "s.csv", **paths}
+    train = ["train", "--data", str(p["data"]), "--target", "target",
+             "--out", str(p["model"]), "--n-trees", "2"]
+    explain = ["explain", "--model", str(p["model"]), "--data", str(p["data"]),
+               "--target", "target", "--groups", str(p["groups"]), "--out", str(p["out"])]
+    return train, explain
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("train", "data"), ("train", "model"), ("explain", "model"), ("explain", "data"),
+     ("explain", "groups"), ("explain", "out"), ("test", "shap"), ("analyze", "shap")],
+)
+def test_directory_in_place_of_a_file_exits_two(tmp_path, dataset_csv, capsys, command, flag):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    if flag == "shap":
+        argv = [command] + (["gini"] if command == "analyze" else []) + ["--shap", str(folder)]
+    else:
+        train, explain = _explain_argv(tmp_path, dataset_csv, **{flag: folder})
+        if command == "explain":
+            assert main(_explain_argv(tmp_path, dataset_csv)[0]) == 0
+        argv = train if command == "train" else explain
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"groupshap {command}: " in err and "Is a directory" in err
+
+
+@pytest.mark.parametrize("flag", ["model", "groups"])
+def test_non_utf8_model_or_grouping_file_exits_two(tmp_path, dataset_csv, capsys, flag):
+    train, _ = _explain_argv(tmp_path, dataset_csv)
+    assert main(train) == 0
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe not text\n")
+    _, explain = _explain_argv(tmp_path, dataset_csv, **{flag: bad})
+    capsys.readouterr()
+    assert main(explain) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: not UTF-8 text" in err and "Traceback" not in err
+
+
+# cell texts at the attribution-CSV boundary: numbers, near-numbers and junk
+_NUMBERS = st.floats(allow_nan=False, allow_infinity=False).map(repr).map(str.encode)
+_CELLS = _NUMBERS | st.sampled_from(
+    [b"", b"x", b"nan", b"inf", b"-inf", b"1e999", b"1_000", b" 1 ", b'"2.5"', b'"x"',
+     b"1,2", b"\xff", b"1\xe9"]
+)
+
+
+@st.composite
+def _shap_csv(draw):
+    """An attribution CSV: numeric rows of the header's width, maybe one junk row."""
+    k = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(_NUMBERS, min_size=k + 1, max_size=k + 1), max_size=12))
+    if rows and draw(st.booleans()):
+        rows[draw(st.integers(0, len(rows) - 1))] = draw(st.lists(_CELLS, max_size=k + 2))
+    header = ",".join(["obs_id", "base"] + [f"g{j}" for j in range(k)]).encode()
+    lines = [header] + [b",".join([b"bond_%d" % i] + row) for i, row in enumerate(rows)]
+    return b"\n".join(lines) + b"\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=_shap_csv())
+def test_shap_csv_boundary_never_raises(tmp_path_factory, text):
+    """Any attribution CSV ends in exit 0, 2 or 3, and exit 0 has finite results."""
+    path = tmp_path_factory.mktemp("boundary") / "shap.csv"
+    path.write_bytes(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["test", "--shap", str(path), "--tests", "gs,wald,cq", "--format", "csv"])
+    assert code in (0, 2, 3), err.getvalue()
+    if code == 0:
+        report = list(csv.DictReader(io.StringIO(out.getvalue())))
+        for row in report:
+            if not row["degenerate"]:
+                assert math.isfinite(float(row["statistic"])), row
+                assert math.isfinite(float(row["p_value"])), row
 
 
 @pytest.mark.parametrize("command", [["test"], ["simulate", "size"]])
@@ -297,10 +388,17 @@ def test_simulate_config_file_defaults(tmp_path):
     assert "skewed,6,25" in table
 
 
+def _child_env():
+    """The environment for a child interpreter, importing this groupshap."""
+    src = os.path.dirname(os.path.dirname(groupshap.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "groupshap.cli", "--version"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=_child_env(),
     )
     assert proc.returncode == 0
     assert "groupshap" in proc.stdout
@@ -309,7 +407,9 @@ def test_console_entry_point_runs():
 def test_cli_import_does_not_load_scipy_stats():
     # a fresh interpreter: scipy.stats was most of the CLI's start-up time and memory
     code = "import sys, groupshap.cli; assert 'scipy.stats' not in sys.modules"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
+    )
     assert proc.returncode == 0, proc.stderr
 
 

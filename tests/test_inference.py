@@ -505,6 +505,15 @@ def test_scale_invariance_of_decisions(c, seed):
         assert b.reject == a.reject
 
 
+@pytest.mark.parametrize("scale", [1e-40, 1e30, 1e60, 1e160])
+def test_scale_outside_the_float_range_is_degenerate_not_an_error(scale):
+    # GS cumulants are degree 6 in phi: they underflow or overflow first
+    phi = np.random.default_rng(5).normal(size=(30, 3)) * scale
+    assert gs_test(phi).degenerate == "FloatRange"
+    for rep in group_joint_test(phi, FeatureGrouping.singletons(3), tests=("gs", "wald", "cq")):
+        assert rep.degenerate or math.isfinite(rep.statistic) and math.isfinite(rep.p_value)
+
+
 @given(st.integers(0, 2**31 - 1))
 @settings(max_examples=25, deadline=None)
 def test_permutation_invariance(seed):

@@ -1,5 +1,6 @@
 """Tree training, prediction and model-file round trips."""
 
+import csv
 import json
 import math
 
@@ -12,6 +13,7 @@ from groupshap.errors import (
     ShapeError,
     TargetRequired,
 )
+from groupshap.shapley import read_shap_csv
 from groupshap.tree import (
     LEAF,
     DataError,
@@ -335,3 +337,55 @@ def test_read_csv_rejects_ragged_rows(tmp_path):
     path.write_text("a,b\n1.0,2.0\n3.0\n")
     with pytest.raises(DataError):
         read_csv_dataset(path)
+
+
+# Both CSV readers parse through read_numeric_csv, so a cell text gets the same
+# verdict and the same message from each. The SHAP file's obs_id is text.
+_READERS = {
+    "data": (b"a,b,c\n1,2,3\n\n4,5,", read_csv_dataset, DataError),
+    "shap": (b"obs_id,base,c\nbond_3,2,3\n\nbond_17,5,", read_shap_csv, ShapeError),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_READERS))
+@pytest.mark.parametrize(
+    "cell, reason",
+    [(b"x", ":4: non-numeric value"), (b"", ":4: non-numeric value"),
+     (b"6,7", ":4: expected 3 fields, got 4"), (b"inf", ":4: non-finite value"),
+     (b"-inf", ":4: non-finite value"), (b"nan", ":4: non-finite value"),
+     (b"1e999", ":4: non-finite value"), (b"\xff", ": not UTF-8 text")],
+)
+def test_csv_readers_reject_the_same_cells(tmp_path, reader, cell, reason):
+    prefix, read, error = _READERS[reader]
+    path = tmp_path / "t.csv"
+    path.write_bytes(prefix + cell + b"\n")
+    with pytest.raises(error) as exc:
+        read(path)
+    assert str(exc.value) == f"{path}{reason}"
+
+
+@pytest.mark.parametrize("reader", sorted(_READERS))
+@pytest.mark.parametrize(
+    "cell", [b"1_000", b" 1 ", b'"2.5"', b"-0.0", b"4.9e-324", "\u0661".encode()]
+)
+def test_csv_readers_accept_what_float_reads(tmp_path, reader, cell):
+    prefix, read, _ = _READERS[reader]
+    path = tmp_path / "t.csv"
+    path.write_bytes(prefix + cell + b"\n")
+    result = read(path)
+    last = result.X[-1, -1] if reader == "data" else result.values[-1, -1]
+    (text,) = next(csv.reader([cell.decode()]))
+    assert str(last) == str(float(text))
+
+
+@pytest.mark.parametrize("reader", sorted(_READERS))
+@pytest.mark.parametrize(
+    "text, reason", [(b"", ": empty file"), (b"obs_id,base,c\n\n", ": no data rows")]
+)
+def test_csv_readers_reject_files_without_rows(tmp_path, reader, text, reason):
+    _, read, error = _READERS[reader]
+    path = tmp_path / "t.csv"
+    path.write_bytes(text)
+    with pytest.raises(error) as exc:
+        read(path)
+    assert str(exc.value) == f"{path}{reason}"
