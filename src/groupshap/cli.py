@@ -47,7 +47,7 @@ from .shapley import (
     tree_group_shap,
     write_grouping_file,
 )
-from .simgen import read_simspec_file, synth_regression
+from .simgen import SimSpec, read_simspec_file, synth_regression
 from .tree import (
     DataError,
     load_model,
@@ -284,30 +284,35 @@ def _cmd_test(args) -> int:
 
 
 def _simulate_specs(args) -> tuple[list, tuple[str, ...], int]:
-    """The cells, tests and seed of a simulate run, from its flags and config."""
-    overrides = read_simspec_file(args.config) if args.config else {}
-    models = _csv_list(args.models) if args.models else [overrides.get("model", "normal")]
-    ks = _int_list(args.k) if args.k else [overrides.get("k", 20)]
-    ss = _int_list(args.s) if args.s else [overrides.get("s", 50)]
-    reps = args.reps if args.reps is not None else overrides.get("replications", 2000)
-    alpha = args.alpha if args.alpha is not None else overrides.get("alpha", 0.05)
-    sigma2 = args.sigma2 if args.sigma2 is not None else overrides.get("sigma2", 4.0)
+    """The cells, tests and seed of a simulate run. Each setting comes from
+    its flag (an empty list flag counts as unset), else the config file, else
+    the SimSpec default."""
+    config = read_simspec_file(args.config) if args.config else {}
+    default = SimSpec()
+
+    def setting(flag, key, fallback):
+        return flag if flag is not None else config.get(key, fallback)
+
+    def listed(flag, key, parse, fallback):
+        return parse(flag) if flag else [config.get(key, fallback)]
+
+    models = listed(args.models, "model", _csv_list, default.model.value)
+    ks = listed(args.k, "k", _int_list, default.K)
+    ss = listed(args.s, "s", _int_list, default.S)
+    rhos = listed(args.rho, "rho", _float_list, default.rho)
+    reps = setting(args.reps, "replications", default.replications)
+    alpha = setting(args.alpha, "alpha", default.alpha)
+    sigma2 = setting(args.sigma2, "sigma2", default.sigma2)
     tests = _checked_tests(args.tests, alpha)
-    seed = _resolve_seed(args.seed)
-    if args.profile == "paper":
-        models = ["normal", "symmetric", "skewed"]
-        ks = [20, 100, 500]
-        ss = [50, 300, 600]
-        reps = 10000
-    if args.kind == "size":
-        rhos = _float_list(args.rho) if args.rho else [overrides.get("rho", 0.5)]
-        if args.profile == "paper":
-            rhos = [0.2, 0.5, 0.8]
-        return grid_specs(models, ks, ss, rhos, "null", reps, seed, alpha, sigma2), tests, seed
-    rhos = _float_list(args.rho) if args.rho else [0.5]
-    alternatives = _csv_list(args.alternatives)
-    if "null" in alternatives:
+    size = args.kind == "size"
+    alternatives = _csv_list(
+        setting(args.alternatives, "alternative", "null" if size else "sparse,dense")
+    )
+    if size and set(alternatives) != {"null"}:
+        raise _UsageError("--alternatives: a size run has no shift; use simulate power")
+    if not size and "null" in alternatives:
         raise _UsageError("--alternatives: power needs sparse or dense shifts, not null")
+    seed = _resolve_seed(setting(args.seed, "seed", None))
     specs = []
     for alt in alternatives:
         specs.extend(grid_specs(models, ks, ss, rhos, alt, reps, seed, alpha, sigma2))
@@ -478,7 +483,13 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
     p.set_defaults(func=_cmd_test)
 
-    p = sub.add_parser("simulate", help="Monte Carlo size/power study")
+    p = sub.add_parser(
+        "simulate",
+        help="Monte Carlo size/power study",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog="the paper's grid:\n  --models normal,symmetric,skewed --k 20,100,500 "
+        "--s 50,300,600 --rho 0.2,0.5,0.8 --reps 10000",
+    )
     p.add_argument("kind", choices=("size", "power"))
     p.add_argument("--models", default=None, help="comma list from normal,symmetric,skewed")
     p.add_argument("--k", default=None, help="comma list of dimensions")
@@ -487,12 +498,11 @@ def build_parser() -> _Parser:
     p.add_argument("--reps", type=int, default=None)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--sigma2", type=float, default=None)
-    p.add_argument("--alternatives", default="sparse,dense", help="power shifts to run")
+    p.add_argument("--alternatives", default=None,
+                   help="power shifts to run (default sparse,dense)")
     p.add_argument("--tests", default="wald,cq,gs")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--config", default=None, help="key = value SimSpec file")
-    p.add_argument("--profile", choices=("paper",), default=None,
-                   help="full study grid at 10000 replications")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_simulate)
 

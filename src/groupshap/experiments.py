@@ -3,7 +3,8 @@
 Grid cells run independently; each replication derives its stream from the
 cell seed and the replication index, so results are identical whether the
 cells run serially or on a thread pool. Emitted tables mirror the study
-layout: tests as columns, model/K/S as rows, degenerate cells printed as NaN.
+layout: model/K/S as rows, one column block per (alternative, rho) with one
+column per test, degenerate cells printed as NaN.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import csv
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -200,7 +201,6 @@ def are_metric(empirical_sizes, alpha: float) -> float:
 class ConcentrationReport:
     lorenz: np.ndarray  # (K+1) x 2 points from (0,0) to (1,1)
     gini: float
-    corr_det: float | None = None
 
 
 def lorenz_gini(mean_abs_values) -> ConcentrationReport:
@@ -295,99 +295,69 @@ def write_grid_csv(result: GridResult, path) -> None:
             )
 
 
-def read_grid_csv(path) -> GridResult:
-    cells = []
-    alpha = 0.05
-    seed = 0
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            cells.append(
-                CellResult(
-                    model=row["model"],
-                    K=int(row["K"]),
-                    S=int(row["S"]),
-                    rho=float(row["rho"]),
-                    alternative=row["alternative"],
-                    test=row["test"],
-                    rejections=int(row["rejections"]),
-                    replications=int(row["replications"]),
-                    degenerate_count=int(row["degenerate_count"]),
-                )
-            )
-            alpha = float(row["alpha"])
-            seed = int(row["seed"])
-    return GridResult(cells=cells, alpha=alpha, seed=seed)
+def _column_are(result: GridResult, test: str, rho: float) -> tuple[float | None, int]:
+    """ARE of one (test, rho) column and its cell count. A column with any
+    degenerate cell has no ARE (None), matching the reference layout's
+    treatment of the Wald column."""
+    rates = [c.rejection_rate for c in result.cells if c.test == test and c.rho == rho]
+    if not rates or None in rates:
+        return None, len(rates)
+    return are_metric(rates, result.alpha), len(rates)
 
 
 def write_are_csv(result: GridResult, path, tests=DEFAULT_TESTS) -> None:
-    """ARE per (test, rho). Columns with any degenerate cell print NaN,
-    matching the reference layout's treatment of the Wald column."""
+    """ARE per (test, rho); NaN where _column_are has none."""
     rhos = sorted({c.rho for c in result.cells})
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["test", "rho", "are", "n_cells"])
         for test in tests:
             for rho in rhos:
-                col = [c for c in result.cells if c.test == test and c.rho == rho]
-                rates = [c.rejection_rate for c in col]
-                if any(r is None for r in rates) or not rates:
-                    w.writerow([test, repr(rho), "NaN", len(col)])
-                else:
-                    w.writerow(
-                        [test, repr(rho), repr(are_metric(rates, result.alpha)), len(col)]
-                    )
+                are, n = _column_are(result, test, rho)
+                w.writerow([test, repr(rho), "NaN" if are is None else repr(are), n])
 
 
 def format_grid_table(result: GridResult, tests=DEFAULT_TESTS) -> str:
-    """Aligned-text rendering: model/K/S rows, rho or alternative column
-    blocks, one column per test, '*' on the best cell of each block."""
+    """Aligned-text rendering: model/K/S rows, one column block per
+    (alternative, rho), one column per test, '*' on the best cell of each
+    block, and an ARE row under size tables."""
     cells = result.cells
     flags = _best_flags(cells, result.alpha)
     is_size = all(c.alternative == Alternative.NULL.value for c in cells)
-    block_key = (lambda c: c.rho) if is_size else (lambda c: c.alternative)
-    blocks = sorted({block_key(c) for c in cells}, key=str)
-    rows = []
-    seen = set()
-    for c in cells:
-        key = (c.model, c.K, c.S)
-        if key not in seen:
-            seen.add(key)
-            rows.append(key)
-    lookup = {}
-    for i, c in enumerate(cells):
-        lookup[(c.model, c.K, c.S, block_key(c), c.test)] = (c.rejection_rate, flags[i])
+    blocks = sorted({(c.alternative, c.rho) for c in cells}, key=lambda b: (b[0], str(b[1])))
+    rows = list(dict.fromkeys((c.model, c.K, c.S) for c in cells))
+    lookup = {
+        (c.model, c.K, c.S, c.alternative, c.rho, c.test): (c.rejection_rate, flags[i])
+        for i, c in enumerate(cells)
+    }
 
     width = 9
     title = "Empirical size (%)" if is_size else "Empirical power (%)"
     lines = [f"{title}  alpha={100 * result.alpha:g}%"]
     head1 = f"{'model':<10} {'K':>5} {'S':>5}"
     head2 = " " * len(head1)
-    for b in blocks:
-        label = f"rho={b:g}" if is_size else str(b)
-        span = width * len(tests)
-        head1 += " | " + f"{label:^{span}}"
+    for alt, rho in blocks:
+        label = f"rho={rho:g}" if is_size else f"{alt} rho={rho:g}"
+        head1 += " | " + f"{label:^{width * len(tests)}}"
         head2 += " | " + "".join(f"{t:^{width}}" for t in tests)
     lines += [head1, head2, "-" * len(head2)]
     for model, K, S in rows:
         line = f"{model:<10} {K:>5} {S:>5}"
-        for b in blocks:
+        for alt, rho in blocks:
             part = ""
             for t in tests:
-                rate, best = lookup.get((model, K, S, b, t), (None, False))
+                rate, best = lookup.get((model, K, S, alt, rho, t), (None, False))
                 cell = _fmt_rate(rate) + ("*" if best else "")
                 part += f"{cell:^{width}}"
             line += " | " + part
         lines.append(line)
     if is_size:
         are_line = f"{'ARE':<10} {'':>5} {'':>5}"
-        for b in blocks:
+        for _, rho in blocks:
             part = ""
             for t in tests:
-                col = [c.rejection_rate for c in cells if c.test == t and block_key(c) == b]
-                if any(r is None for r in col) or not col:
-                    cell = "NaN"
-                else:
-                    cell = f"{are_metric(col, result.alpha):.2f}"
+                are = _column_are(result, t, rho)[0]
+                cell = "NaN" if are is None else f"{are:.2f}"
                 part += f"{cell:^{width}}"
             are_line += " | " + part
         lines += ["-" * len(head2), are_line]

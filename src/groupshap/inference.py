@@ -27,12 +27,12 @@ class SampleMoments:
     """Mean, covariance and trace statistics of an S x K sample.
 
     tr2_hat and tr3_hat are the unbiased estimates of tr(Sigma^2) and
-    tr(Sigma^3); the covariance matrix itself is materialized lazily since
-    the trace statistics only need the smaller of the K x K covariance and
-    the S x S Gram matrix.
+    tr(Sigma^3). The trace statistics only need the smaller of the K x K
+    covariance and the S x S Gram matrix, so cov is None when S <= K, where
+    Wald is degenerate and nothing reads it.
     """
 
-    def __init__(self, mean, S, tr1, tr2_hat, tr3_hat, diag, centered=None, cov=None):
+    def __init__(self, mean, S, tr1, tr2_hat, tr3_hat, diag, cov=None):
         self.mean = np.asarray(mean, dtype=float)
         self.S = int(S)
         self.K = self.mean.shape[0]
@@ -40,18 +40,7 @@ class SampleMoments:
         self.tr2_hat = float(tr2_hat)
         self.tr3_hat = float(tr3_hat)
         self.diag = np.asarray(diag, dtype=float)
-        self._centered = centered
-        self._cov = cov
-
-    @property
-    def cov(self) -> np.ndarray:
-        if self._cov is None:
-            if self._centered is None:
-                raise ValueError("covariance unavailable: moments built without data")
-            c = self._centered
-            cov = c.T @ c / (self.S - 1)
-            self._cov = (cov + cov.T) / 2.0
-        return self._cov
+        self.cov = cov
 
 
 def _as_phi(phi) -> np.ndarray:
@@ -101,7 +90,6 @@ def moments(phi) -> SampleMoments:
         tr2_hat=tr2_hat,
         tr3_hat=tr3_hat,
         diag=diag,
-        centered=centered,
         cov=None if gram else a,
     )
 

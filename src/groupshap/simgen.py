@@ -55,8 +55,8 @@ class SimSpec:
             raise ValueError("sigma2 must be positive")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
-        if self.K < 1 or self.S < 1:
-            raise ValueError("K and S must be >= 1")
+        if self.K < 1 or self.S < 4:  # moments needs S >= 4
+            raise ValueError(f"need K >= 1 and S >= 4, got K={self.K}, S={self.S}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
 
@@ -145,22 +145,26 @@ def read_simspec_file(path) -> dict:
         "seed": int,
         "alpha": float,
     }
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: not UTF-8 text") from None
     out: dict = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            key = key.lower()
-            if key not in fields:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                out[key] = fields[key](value)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad value {value!r} for {key!r}") from None
+    for lineno, line in enumerate(lines, start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        key = key.lower()
+        if key not in fields:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            out[key] = fields[key](value)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: bad value {value!r} for {key!r}") from None
     return out
 
 

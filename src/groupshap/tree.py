@@ -418,13 +418,14 @@ def _parse_tree(tree_doc, n_features: int, ti: int) -> Tree:
         value[i] = value_i
         cover[i] = cover_i
     t = Tree(feature, threshold, left, right, value, cover)
-    t.root = _validate_structure(t, ti)
-    _validate_covers_and_values(t, ti)
+    t.root, order = _validate_structure(t, ti)
+    _validate_covers_and_values(t, ti, order)
     return t
 
 
-def _validate_structure(t: Tree, ti: int) -> int:
-    """Check the node graph is a single rooted tree; return the root id."""
+def _validate_structure(t: Tree, ti: int) -> tuple[int, list[int]]:
+    """Check the node graph is a single rooted tree; return the root id and
+    the nodes in preorder."""
     n = t.n_nodes
     parents = np.zeros(n, dtype=int)
     for i in range(n):
@@ -438,34 +439,27 @@ def _validate_structure(t: Tree, ti: int) -> int:
         bad = int(np.nonzero(parents > 1)[0][0])
         raise ModelInvariantError("node has more than one parent", ti, bad)
     root = int(roots[0])
-    # reachability from the root covers all nodes iff there are no cycles
-    seen = set()
+    # with one parent per node and none for the root, the walk meets no node
+    # twice; a cycle apart from the root is left unreached
+    order = []
     stack = [root]
     while stack:
-        i = stack.pop()
-        if i in seen:
-            raise ModelInvariantError("cycle in node graph", ti, i)
-        seen.add(i)
-        if t.feature[i] != LEAF:
-            stack.extend((int(t.left[i]), int(t.right[i])))
-    if len(seen) != n:
-        raise ModelInvariantError("unreachable nodes in tree", ti)
-    return root
-
-
-def _validate_covers_and_values(t: Tree, ti: int) -> None:
-    """Enforce cover additivity, then recompute internal values bottom-up.
-
-    Stored internal values must agree with the cover-weighted descendant mean
-    to 1e-9 relative; the recomputed (exact) values replace them.
-    """
-    order = []
-    stack = [t.root]
-    while stack:  # preorder; reversed gives children before parents
         i = stack.pop()
         order.append(i)
         if t.feature[i] != LEAF:
             stack.extend((int(t.left[i]), int(t.right[i])))
+    if len(order) != n:
+        raise ModelInvariantError("unreachable nodes in tree", ti)
+    return root, order
+
+
+def _validate_covers_and_values(t: Tree, ti: int, order: list[int]) -> None:
+    """Enforce cover additivity, then recompute internal values bottom-up.
+
+    Stored internal values must agree with the cover-weighted descendant mean
+    to 1e-9 relative; the recomputed (exact) values replace them. order is a
+    preorder, so reversed it gives children before parents.
+    """
     for i in reversed(order):
         if t.feature[i] == LEAF:
             continue

@@ -304,6 +304,10 @@ def test_alpha_outside_unit_interval_exits_one(tmp_path, capsys, command, alpha)
         ["simulate", "size", "--models", "foo"],
         ["simulate", "size", "--config", "unknown_key.cfg"],
         ["simulate", "size", "--config", "bad_value.cfg"],
+        ["simulate", "size", "--s", "3"],
+        ["simulate", "size", "--config", "not_utf8.cfg"],
+        ["simulate", "size", "--alternatives", "sparse"],
+        ["simulate", "size", "--config", "dense.cfg"],
         ["simulate", "power", "--alternatives", "null"],
         ["demo", "--n", "10"],
         ["demo", "--groups", "1"],
@@ -320,6 +324,8 @@ def test_alpha_outside_unit_interval_exits_one(tmp_path, capsys, command, alpha)
 def test_bad_flag_or_config_value_exits_one(tmp_path, dataset_csv, capsys, argv):
     (tmp_path / "unknown_key.cfg").write_text("nope = 1\n")
     (tmp_path / "bad_value.cfg").write_text("k = x\n")
+    (tmp_path / "not_utf8.cfg").write_bytes(b"\xffk = 5\n")
+    (tmp_path / "dense.cfg").write_text("alternative = dense\n")
     argv = [str(tmp_path / a) if a.endswith(".cfg") else a for a in argv]
     out = tmp_path / "out"
     if argv[0] == "train":
@@ -329,12 +335,26 @@ def test_bad_flag_or_config_value_exits_one(tmp_path, dataset_csv, capsys, argv)
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert f"groupshap {argv[0]}: " in err and "Traceback" not in err
+    if "not_utf8.cfg" in argv[-3]:
+        assert f"{argv[-3]}: not UTF-8 text" in err
     assert not out.exists()
 
 
 def test_simulate_has_no_threads_flag(tmp_path, capsys):
     assert main(["simulate", "size", "--threads", "2", "--out", str(tmp_path / "o")]) == 1
     assert "--threads" in capsys.readouterr().err
+
+
+def test_simulate_has_no_profile_flag(tmp_path, capsys):
+    assert main(["simulate", "size", "--profile", "paper", "--out", str(tmp_path / "o")]) == 1
+    assert "--profile" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_simulate_help_gives_the_paper_grid(capsys):
+    assert main(["simulate", "--help"]) == 0
+    assert ("--models normal,symmetric,skewed --k 20,100,500 --s 50,300,600 "
+            "--rho 0.2,0.5,0.8 --reps 10000") in capsys.readouterr().out
 
 
 def test_analyze_corrdet_zero_variance_exits_three(tmp_path):
@@ -386,6 +406,45 @@ def test_simulate_config_file_defaults(tmp_path):
                  "--tests", "gs", "--out", str(out)]) == 0
     table = (out / "size_table.csv").read_text()
     assert "skewed,6,25" in table
+
+
+def test_simulate_config_seed_is_the_seed(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("seed = 7\nk = 5\ns = 20\nreplications = 30\n")
+    runs = [["--config", str(cfg)], ["--config", str(cfg)],
+            ["--k", "5", "--s", "20", "--reps", "30", "--seed", "7"]]
+    for i, args in enumerate(runs):
+        assert main(["simulate", "size", *args, "--tests", "cq,gs",
+                     "--out", str(tmp_path / str(i))]) == 0
+    for name in ("size_table.csv", "size_table.txt", "are.csv"):
+        tables = {(tmp_path / str(i) / name).read_bytes() for i in range(len(runs))}
+        assert len(tables) == 1, name
+    assert json.loads((tmp_path / "0" / "run.json").read_text())["seed"] == 7
+
+
+def test_simulate_power_takes_config_rho(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("rho = 0.3\nk = 5\ns = 20\nreplications = 20\n")
+    out = tmp_path / "p"
+    assert main(["simulate", "power", "--config", str(cfg), "--seed", "2",
+                 "--tests", "gs", "--out", str(out)]) == 0
+    with open(out / "power_table.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {(r["alternative"], r["rho"]) for r in rows} == {("sparse", "0.3"), ("dense", "0.3")}
+
+
+def test_simulate_power_table_prints_every_rho(tmp_path):
+    out = tmp_path / "p"
+    assert main(["simulate", "power", "--models", "normal", "--k", "5", "--s", "12",
+                 "--rho", "0.0,0.9", "--reps", "30", "--seed", "9", "--tests", "cq,gs",
+                 "--alternatives", "sparse", "--out", str(out)]) == 0
+    lines = (out / "power_table.txt").read_text().splitlines()
+    assert [b.strip() for b in lines[1].split("|")[1:]] == ["sparse rho=0", "sparse rho=0.9"]
+    with open(out / "power_table.csv") as fh:
+        rates = {(r["rho"], r["test"]): float(r["rejection_rate"]) for r in csv.DictReader(fh)}
+    printed = [float(v.rstrip("*")) for v in lines[4].split("|", 1)[1].replace("|", " ").split()]
+    expected = [100 * rates[rho, t] for rho in ("0.0", "0.9") for t in ("cq", "gs")]
+    assert printed == pytest.approx(expected, abs=0.005)
 
 
 def _child_env():

@@ -20,7 +20,6 @@ from groupshap.experiments import (
     format_grid_table,
     grid_specs,
     lorenz_gini,
-    read_grid_csv,
     run_power_grid,
     run_size_grid,
     write_grid_csv,
@@ -189,16 +188,6 @@ def test_power_monotone_in_sample_size_dense():
     high = result.rate("gs", "normal", 20, 300, 0.5, "dense")
     se = math.sqrt(max(low * (1 - low), high * (1 - high)) / reps)
     assert high >= low - 3 * se
-
-
-def test_grid_csv_round_trip(tmp_path):
-    result = run_size_grid(_tiny_size_specs(reps=20), tests=("wald", "gs"), master_seed=42)
-    path = tmp_path / "grid.csv"
-    write_grid_csv(result, path)
-    loaded = read_grid_csv(path)
-    assert loaded.cells == result.cells
-    assert loaded.alpha == result.alpha
-    assert loaded.seed == result.seed
 
 
 def test_emit_tables_writes_nan_and_best_flags(tmp_path):

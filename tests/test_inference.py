@@ -70,9 +70,8 @@ def test_moments_requires_four_rows():
 def test_moments_covariance_is_symmetric_and_matches_gram_path(rng):
     phi = rng.normal(size=(10, 25))  # S < K triggers the Gram route
     m = moments(phi)
-    assert np.abs(m.cov - m.cov.T).max() <= 1e-12
+    assert m.cov is None
     direct = np.cov(phi, rowvar=False)
-    np.testing.assert_allclose(m.cov, direct, atol=1e-10)
     np.testing.assert_allclose(m.tr1, np.trace(direct), rtol=1e-10)
     np.testing.assert_allclose(m.diag, np.diag(direct), rtol=1e-10)
     # trace statistics agree with the explicit covariance powers

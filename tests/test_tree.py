@@ -274,6 +274,25 @@ def test_load_rejects_cycles(tmp_path):
         load_model(path)
 
 
+def test_load_rejects_a_cycle_apart_from_the_root(tmp_path):
+    doc = _stump_doc()
+    # nodes 3 and 4 are each other's left child, beside the stump
+    doc["trees"][0]["nodes"] += [
+        {"id": 3, "feature": 0, "threshold": 0.5, "left": 4, "right": 5,
+         "value": 1.0, "cover": 2.0},
+        {"id": 4, "feature": 0, "threshold": 0.5, "left": 3, "right": 6,
+         "value": 1.0, "cover": 2.0},
+        {"id": 5, "feature": None, "threshold": None, "left": None,
+         "right": None, "value": 1.0, "cover": 1.0},
+        {"id": 6, "feature": None, "threshold": None, "left": None,
+         "right": None, "value": 1.0, "cover": 1.0},
+    ]
+    path = tmp_path / "bad.model"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelInvariantError, match="unreachable nodes"):
+        load_model(path)
+
+
 def test_load_rejects_out_of_range_feature(tmp_path):
     doc = _stump_doc()
     doc["trees"][0]["nodes"][0]["feature"] = 7
