@@ -35,6 +35,7 @@ from .experiments import (
     lorenz_gini,
     run_power_grid,
     run_size_grid,
+    write_diagnostics_csv,
 )
 from .inference import TESTS, TestReport, group_joint_test
 from .shapley import (
@@ -325,6 +326,8 @@ def _cmd_simulate(args) -> int:
     run = run_size_grid if args.kind == "size" else run_power_grid
     result = run(specs, tests, master_seed=seed)
     written = emit_tables(result, args.out, tests)
+    written.append(os.path.join(args.out, "diagnostics.csv"))
+    write_diagnostics_csv(result, written[-1], tests)
     _write_run_config(args.out, args, seed=seed, outputs=written)
     for path in written:
         print(f"wrote {path}")

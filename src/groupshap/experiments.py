@@ -2,9 +2,12 @@
 
 Grid cells run independently; each replication derives its stream from the
 cell seed and the replication index, so results are identical whether the
-cells run serially or on a thread pool. Emitted tables mirror the study
-layout: model/K/S as rows, one column block per (alternative, rho) with one
-column per test, degenerate cells printed as NaN.
+cells run serially or on a thread pool. Within a cell, replications run in
+blocks: one block is generated as an R x S x K stack, and one moments pass
+and one call per test compute its statistics as arrays over R. Emitted
+tables mirror the study layout: model/K/S as rows, one column block per
+(alternative, rho) with one column per test, degenerate cells printed as NaN.
+Per-cell diagnostics go to their own file, outside the tables.
 """
 
 from __future__ import annotations
@@ -12,21 +15,27 @@ from __future__ import annotations
 import csv
 import math
 import os
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import AREUnavailable, DegenerateConcentration, ShapeError
-from .inference import moments, run_tests_from_moments
+from .inference import moments, outcomes_from_moments
 from .simgen import Alternative, SimSpec, ZModel, generate
 
+# perfbench/tracing.py patches these names here to time their layers
+from .inference import run_tests_from_moments  # noqa: F401
+
 DEFAULT_TESTS = ("wald", "cq", "gs")
-# K * S of the largest cell from which the grid runs its cells on a thread
-# pool. Above it a replication is mostly BLAS/LAPACK work, which releases the
-# GIL; below it, mostly per-replication Python work, which the pool only
-# contends for (on 2 cores, serial/pooled time was 0.8-0.9 at K*S = 1e3 and
-# 1.3-1.8 from 1.5e4 on).
+# Floats (K * S per replication) at which a replication stops being mostly
+# per-replication Python work and becomes mostly BLAS/LAPACK work. A cell
+# runs its replications in blocks of about this many floats, so that smaller
+# replications share their Python work. The grid runs its cells on a thread
+# pool when its largest cell is at least this size: BLAS/LAPACK work releases
+# the GIL, Python work only contends for it (on 2 cores, serial/pooled time
+# was 0.8-0.9 at K*S = 1e3 and 1.3-1.8 from 1.5e4 on).
 POOL_MIN_CELL_SIZE = 10_000
 
 
@@ -59,10 +68,32 @@ class CellResult:
 
 
 @dataclass
+class CellDiagnostics:
+    """What lies behind one cell's rates; kept out of the result tables.
+
+    The GS counts and fitted d are over the replications where GS ran;
+    d_quantiles are the 5/50/95% quantiles of its finite fitted d, None
+    where there is none (or GS was not run).
+    """
+
+    model: str
+    K: int
+    S: int
+    rho: float
+    alternative: str
+    replications: int
+    degenerate: dict  # (test, tag) -> count
+    gs_screen_fired: int | None = None
+    gs_normal_fallback: int | None = None
+    gs_d_quantiles: tuple[float, float, float] | None = None
+
+
+@dataclass
 class GridResult:
     cells: list[CellResult]
     alpha: float
     seed: int
+    diagnostics: list[CellDiagnostics] = field(default_factory=list, compare=False)
 
     def rate(self, test: str, model, K, S, rho, alternative="null") -> float | None:
         for c in self.cells:
@@ -126,31 +157,55 @@ def grid_specs(
     return specs
 
 
-def _run_cell(spec: SimSpec, tests) -> list[CellResult]:
-    rejections = {t: 0 for t in tests}
-    degenerate = {t: 0 for t in tests}
-    for r in range(spec.replications):
-        phi = generate(spec, r).phi
+def _run_cell(spec: SimSpec, tests) -> tuple[list[CellResult], CellDiagnostics]:
+    block = int(min(spec.replications, max(1, POOL_MIN_CELL_SIZE // (spec.K * spec.S))))
+    rejections = dict.fromkeys(tests, 0)
+    degenerate = Counter()
+    gs_fired = gs_fallback = 0
+    gs_d = []
+    for start in range(0, spec.replications, block):
+        # phi is held until the next block: freed before the tests run, it
+        # lets the allocator return the heap top to the OS, and every block
+        # of a large cell faults its pages in again (144 minor faults per
+        # replication at K=100, S=300)
+        phi = generate(spec, start, min(start + block, spec.replications)).phi
         m = moments(phi)
-        for rep in run_tests_from_moments(m, spec.alpha, tests):
-            if rep.degenerate is not None:
-                degenerate[rep.test] += 1
-            elif rep.reject:
-                rejections[rep.test] += 1
-    return [
+        for o in outcomes_from_moments(m, spec.alpha, tests):
+            ran = o.ran
+            rejections[o.test] += int(np.count_nonzero(o.reject & ran))
+            degenerate.update((o.test, tag) for tag in o.degenerate[~ran])
+            if o.test == "gs":
+                t0, approx = o.extra["t0"], o.extra["approx"]
+                gs_fired += int(np.count_nonzero(ran & (t0.n_screened > 0)))
+                gs_fallback += int(np.count_nonzero(ran & approx.normal_fallback))
+                gs_d.append(approx.d[ran & np.isfinite(approx.d)])
+    key = dict(
+        model=spec.model.value,
+        K=spec.K,
+        S=spec.S,
+        rho=spec.rho,
+        alternative=spec.alternative.value,
+    )
+    cells = [
         CellResult(
-            model=spec.model.value,
-            K=spec.K,
-            S=spec.S,
-            rho=spec.rho,
-            alternative=spec.alternative.value,
+            **key,
             test=t,
             rejections=rejections[t],
             replications=spec.replications,
-            degenerate_count=degenerate[t],
+            degenerate_count=sum(n for (test, _), n in degenerate.items() if test == t),
         )
         for t in tests
     ]
+    diagnostics = CellDiagnostics(
+        **key, replications=spec.replications, degenerate=dict(degenerate)
+    )
+    if "gs" in tests:
+        d = np.concatenate(gs_d)
+        diagnostics.gs_screen_fired = gs_fired
+        diagnostics.gs_normal_fallback = gs_fallback
+        if d.size:
+            diagnostics.gs_d_quantiles = tuple(np.quantile(d, (0.05, 0.5, 0.95)).tolist())
+    return cells, diagnostics
 
 
 def _run_grid(specs, tests, alpha: float, seed: int) -> GridResult:
@@ -160,8 +215,9 @@ def _run_grid(specs, tests, alpha: float, seed: int) -> GridResult:
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             per_cell = list(pool.map(lambda s: _run_cell(s, tests), specs))
-    cells = [c for chunk in per_cell for c in chunk]
-    return GridResult(cells=cells, alpha=alpha, seed=seed)
+    cells = [c for chunk, _ in per_cell for c in chunk]
+    diagnostics = [diag for _, diag in per_cell]
+    return GridResult(cells=cells, alpha=alpha, seed=seed, diagnostics=diagnostics)
 
 
 def run_size_grid(specs, tests=DEFAULT_TESTS, master_seed: int = 0) -> GridResult:
@@ -336,32 +392,72 @@ def format_grid_table(result: GridResult, tests=DEFAULT_TESTS) -> str:
     lines = [f"{title}  alpha={100 * result.alpha:g}%"]
     head1 = f"{'model':<10} {'K':>5} {'S':>5}"
     head2 = " " * len(head1)
-    for alt, rho in blocks:
-        label = f"rho={rho:g}" if is_size else f"{alt} rho={rho:g}"
-        head1 += " | " + f"{label:^{width * len(tests)}}"
-        head2 += " | " + "".join(f"{t:^{width}}" for t in tests)
+    labels = [f"rho={rho:g}" if is_size else f"{alt} rho={rho:g}" for alt, rho in blocks]
+    # a block is as wide as its test columns, or as its label if that is wider
+    block_width = [max(width * len(tests), len(label)) for label in labels]
+    for label, bw in zip(labels, block_width):
+        head1 += " | " + f"{label:^{bw}}"
+        head2 += " | " + f"{''.join(f'{t:^{width}}' for t in tests):^{bw}}"
     lines += [head1, head2, "-" * len(head2)]
     for model, K, S in rows:
         line = f"{model:<10} {K:>5} {S:>5}"
-        for alt, rho in blocks:
+        for (alt, rho), bw in zip(blocks, block_width):
             part = ""
             for t in tests:
                 rate, best = lookup.get((model, K, S, alt, rho, t), (None, False))
                 cell = _fmt_rate(rate) + ("*" if best else "")
                 part += f"{cell:^{width}}"
-            line += " | " + part
+            line += " | " + f"{part:^{bw}}"
         lines.append(line)
     if is_size:
         are_line = f"{'ARE':<10} {'':>5} {'':>5}"
-        for _, rho in blocks:
+        for (_, rho), bw in zip(blocks, block_width):
             part = ""
             for t in tests:
                 are = _column_are(result, t, rho)[0]
                 cell = "NaN" if are is None else f"{are:.2f}"
                 part += f"{cell:^{width}}"
-            are_line += " | " + part
+            are_line += " | " + f"{part:^{bw}}"
         lines += ["-" * len(head2), are_line]
     return "\n".join(lines) + "\n"
+
+
+def _fmt_float(value: float | None) -> str:
+    return "NaN" if value is None else repr(value)
+
+
+def write_diagnostics_csv(result: GridResult, path, tests=DEFAULT_TESTS) -> None:
+    """One row per cell: GS screen-fire and normal-fallback rates, quantiles
+    of the fitted d, and a count per degenerate (test, tag) pair that occurs
+    anywhere in the grid."""
+    tags = sorted(
+        {key for diag in result.diagnostics for key in diag.degenerate},
+        key=lambda key: (list(tests).index(key[0]), key[1]),
+    )
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(
+            [
+                "model", "K", "S", "rho", "alternative", "replications",
+                "gs_screen_fire_rate", "gs_normal_fallback_rate",
+                "gs_d_q05", "gs_d_q50", "gs_d_q95",
+                *(f"degenerate_{test}_{tag}" for test, tag in tags),
+            ]
+        )
+        for diag in result.diagnostics:
+            n = diag.replications
+            rates = [
+                None if count is None else count / n
+                for count in (diag.gs_screen_fired, diag.gs_normal_fallback)
+            ]
+            w.writerow(
+                [
+                    diag.model, diag.K, diag.S, repr(diag.rho), diag.alternative, n,
+                    *map(_fmt_float, rates),
+                    *map(_fmt_float, diag.gs_d_quantiles or (None, None, None)),
+                    *(diag.degenerate.get(key, 0) for key in tags),
+                ]
+            )
 
 
 def emit_tables(result: GridResult, out_dir, tests=DEFAULT_TESTS) -> list[str]:

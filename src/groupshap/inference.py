@@ -6,13 +6,16 @@ match. Because the normalizing variance is itself estimated, the matched
 chi2_d / d is replaced by the studentized F(d, (S-1) d), which tends to it as
 S grows. Classical Hotelling/Wald and the trace-normalized normal-reference
 test are included as baselines. All statistics are functions of the sample
-moments, so one moments pass feeds every test.
+moments, so one moments pass feeds every test. Moments and tests take a
+stack of R samples as well as one: every statistic is computed once, as an
+array over the stack, and a TestReport is read off one row of it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import linalg, special
@@ -24,8 +27,11 @@ WALD_MIN_RCOND = 1e-13
 
 
 class SampleMoments:
-    """Mean, covariance and trace statistics of an S x K sample.
+    """Mean, covariance and trace statistics of an S x K sample, or of each
+    sample of an R x S x K stack.
 
+    For one sample mean and diag are K-vectors, the traces are floats and cov
+    is K x K; for a stack each field gains a leading axis of length R.
     tr2_hat and tr3_hat are the unbiased estimates of tr(Sigma^2) and
     tr(Sigma^3). The trace statistics only need the smaller of the K x K
     covariance and the S x S Gram matrix, so cov is None when S <= K, where
@@ -35,88 +41,128 @@ class SampleMoments:
     def __init__(self, mean, S, tr1, tr2_hat, tr3_hat, diag, cov=None):
         self.mean = np.asarray(mean, dtype=float)
         self.S = int(S)
-        self.K = self.mean.shape[0]
-        self.tr1 = float(tr1)
-        self.tr2_hat = float(tr2_hat)
-        self.tr3_hat = float(tr3_hat)
+        self.K = self.mean.shape[-1]
+        self.stacked = self.mean.ndim == 2
+        self.R = self.mean.shape[0] if self.stacked else 1
+        trace = (lambda v: np.asarray(v, dtype=float)) if self.stacked else float
+        self.tr1 = trace(tr1)
+        self.tr2_hat = trace(tr2_hat)
+        self.tr3_hat = trace(tr3_hat)
         self.diag = np.asarray(diag, dtype=float)
         self.cov = cov
 
+    def rows(self, name: str) -> np.ndarray:
+        """Field `name` with a leading replication axis (of length 1 for one sample)."""
+        value = np.asarray(getattr(self, name), dtype=float)
+        return value if self.stacked else value[None]
 
-def _as_phi(phi) -> np.ndarray:
+
+def _as_phi(phi, stacked: bool = False) -> np.ndarray:
     phi = np.asarray(phi, dtype=float)
     if phi.ndim == 1:
         phi = phi[:, None]
-    if phi.ndim != 2:
+    if phi.ndim != 2 and not (stacked and phi.ndim == 3):
         raise ShapeError(f"expected an S x K matrix, got ndim={phi.ndim}")
     if not np.isfinite(phi).all():
         raise ShapeError("attribution matrix holds a non-finite value")
     return phi
 
 
+def _pow(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """x**n element by element with Python's float power, which calls the C
+    library's pow (numpy's power rounds differently in the last bit), and the
+    mask of where it overflowed, which Python reports by raising."""
+    try:
+        return np.array([v**n for v in x.tolist()]), np.zeros(len(x), dtype=bool)
+    except OverflowError:
+        pass
+    out = np.empty(len(x))
+    overflowed = np.zeros(len(x), dtype=bool)
+    for i, v in enumerate(x.tolist()):
+        try:
+            out[i] = v**n
+        except OverflowError:
+            out[i], overflowed[i] = math.inf, True
+    return out, overflowed
+
+
 def moments(phi) -> SampleMoments:
-    """Sample mean, covariance (divisor S-1) and unbiased trace estimates.
+    """Sample mean, covariance (divisor S-1) and unbiased trace estimates of
+    an S x K sample, or of each sample of an R x S x K stack.
 
     The tr(Sigma^3) estimator's constant has roots at S=3, hence S >= 4.
     """
-    phi = _as_phi(phi)
-    S, K = phi.shape
+    phi = _as_phi(phi, stacked=True)
+    stack = phi if phi.ndim == 3 else phi[None]
+    R, S, K = stack.shape
     if S <= 3:
         raise SampleTooSmall(f"need S >= 4 observations, got {S}")
-    mean = phi.mean(axis=0)
-    centered = phi - mean
-    diag = (centered * centered).sum(axis=0) / (S - 1)
+    mean = stack.mean(axis=1)
+    centered = stack - mean[:, None, :]
+    diag = (centered * centered).sum(axis=1) / (S - 1)
     # traces on the smaller of the S x S Gram and the K x K covariance matrix:
     # both have the same nonzero spectrum
     gram = S <= K
-    a = (centered @ centered.T if gram else centered.T @ centered) / (S - 1)
-    a = (a + a.T) / 2.0
-    tr1 = float(np.trace(a))
-    t2 = float((a * a).sum())
-    t3 = float(((a @ a) * a).sum())
-    try:
-        tr2_hat = (S - 1) ** 2 / ((S - 2) * (S + 1)) * (t2 - tr1**2 / (S - 1))
+    transposed = centered.transpose(0, 2, 1)
+    # both products go to BLAS syrk, which fills one triangle and mirrors it,
+    # so a is exactly symmetric
+    a = (centered @ transposed if gram else transposed @ centered) / (S - 1)
+    tr1 = np.trace(a, axis1=1, axis2=2)
+    t2 = (a * a).reshape(R, -1).sum(axis=1)
+    t3 = ((a @ a) * a).reshape(R, -1).sum(axis=1)
+    tr1_sq = _pow(tr1, 2)[0]
+    tr1_cubed, lost = _pow(tr1, 3)
+    with np.errstate(invalid="ignore"):  # inf - inf beyond the float range
+        tr2_hat = (S - 1) ** 2 / ((S - 2) * (S + 1)) * (t2 - tr1_sq / (S - 1))
         tr3_hat = (
             (S - 1) ** 4
             / ((S**2 + S - 6) * (S**2 - 2 * S - 3))
-            * (t3 - 3 * tr1 * t2 / (S - 1) + 2 * tr1**3 / (S - 1) ** 2)
+            * (t3 - 3 * tr1 * t2 / (S - 1) + 2 * tr1_cubed / (S - 1) ** 2)
         )
-    except OverflowError:  # tr1 beyond the float range when cubed
-        tr2_hat = tr3_hat = math.nan
+    # tr1 beyond the float range when cubed: no trace estimate
+    tr2_hat[lost] = tr3_hat[lost] = math.nan
+    if phi.ndim == 3:
+        return SampleMoments(mean, S, tr1, tr2_hat, tr3_hat, diag, None if gram else a)
     return SampleMoments(
-        mean=mean,
-        S=S,
-        tr1=tr1,
-        tr2_hat=tr2_hat,
-        tr3_hat=tr3_hat,
-        diag=diag,
-        cov=None if gram else a,
+        mean[0], S, tr1[0], tr2_hat[0], tr3_hat[0], diag[0], None if gram else a[0]
     )
 
 
 @dataclass
 class T1Stat:
+    """T1 of one sample; the kernels hold each field as an array over R."""
+
     raw: float  # ||mean||^2 - tr(cov)/S == mean pairwise inner product
     normalized: float  # raw / sqrt(estimated null variance)
     k2_hat: float
 
 
+def _t1(m: SampleMoments) -> T1Stat:
+    """T1 per replication, as arrays; k2_hat <= 0 marks a degenerate one."""
+    mean = m.rows("mean")
+    raw = np.vecdot(mean, mean) - m.rows("tr1") / m.S
+    k2 = 2.0 * m.rows("tr2_hat") / (m.S * (m.S - 1))
+    return T1Stat(raw=raw, normalized=raw / np.sqrt(k2), k2_hat=k2)
+
+
 def t1_statistic(m: SampleMoments) -> T1Stat:
-    """Trace-centered squared mean norm, plus its variance-normalized form.
+    """Trace-centered squared mean norm, plus its variance-normalized form,
+    of a one-sample moments object.
 
     raw equals the pairwise U-statistic [S(S-1)]^-1 sum_{i!=j} phi_i' phi_j
     identically; the centering tr(cov)/S makes its null expectation zero.
     """
-    raw = float(m.mean @ m.mean) - m.tr1 / m.S
-    k2 = 2.0 * m.tr2_hat / (m.S * (m.S - 1))
-    if k2 <= 0.0:
+    with np.errstate(all="ignore"):
+        t1 = _t1(m)
+    if t1.k2_hat[0] <= 0.0:
         raise DegenerateVariance("estimated null variance is not positive")
-    return T1Stat(raw=raw, normalized=raw / math.sqrt(k2), k2_hat=k2)
+    return T1Stat(*(float(v[0]) for v in (t1.raw, t1.normalized, t1.k2_hat)))
 
 
 @dataclass
 class ChiSqApprox:
-    """Parameters of the matched reference beta0 + beta1 * chisq(d)."""
+    """Parameters of the matched reference beta0 + beta1 * chisq(d), of one
+    sample; the kernels hold each field as an array over R."""
 
     beta0: float
     beta1: float
@@ -126,34 +172,52 @@ class ChiSqApprox:
     normal_fallback: bool = False
 
 
+def _chi_sq(m: SampleMoments, k2: np.ndarray) -> tuple[ChiSqApprox, np.ndarray]:
+    """The cumulant match per replication, as arrays, and where its powers
+    left the float range (the match is then undefined)."""
+    S = m.S
+    k3 = 8.0 * (S - 2) * m.rows("tr3_hat") / (S**2 * (S - 1) ** 2)
+    fallback = k3 == 0.0
+    (k2_sq, over_sq), (k2_cubed, over_cubed), (k3_sq, over_k3) = (
+        _pow(k2, 2), _pow(k2, 3), _pow(k3, 2)
+    )
+    beta0 = -2.0 * k2_sq / k3
+    beta1 = k3 / (4.0 * k2)
+    d = 8.0 * k2_cubed / k3_sq
+    if fallback.any():
+        beta0[fallback] = beta1[fallback] = math.nan
+        d[fallback] = math.inf
+    out_of_range = ~fallback & (over_sq | over_cubed | over_k3 | (k3_sq == 0.0))
+    return ChiSqApprox(beta0, beta1, d, k2, k3, fallback), out_of_range
+
+
 def chi_sq_approx(m: SampleMoments) -> ChiSqApprox:
-    """Match the first three null cumulants to a shifted, scaled chi-square.
+    """Match the first three null cumulants of a one-sample moments object to
+    a shifted, scaled chi-square.
 
     k3 = 0 (no estimated skewness) degrades to the normal reference, the
     d -> infinity limit; the fallback is recorded on the result.
     """
-    k2 = 2.0 * m.tr2_hat / (m.S * (m.S - 1))
-    if k2 <= 0.0:
+    with np.errstate(all="ignore"):
+        k2 = _t1(m).k2_hat
+        approx, out_of_range = _chi_sq(m, k2)
+    if k2[0] <= 0.0:
         raise DegenerateVariance("estimated null variance is not positive")
-    k3 = 8.0 * (m.S - 2) * m.tr3_hat / (m.S**2 * (m.S - 1) ** 2)
-    if k3 == 0.0:
-        return ChiSqApprox(
-            beta0=math.nan,
-            beta1=math.nan,
-            d=math.inf,
-            k2_hat=k2,
-            k3_hat=k3,
-            normal_fallback=True,
-        )
-    beta0 = -2.0 * k2**2 / k3
-    beta1 = k3 / (4.0 * k2)
-    d = 8.0 * k2**3 / k3**2
-    return ChiSqApprox(beta0=beta0, beta1=beta1, d=d, k2_hat=k2, k3_hat=k3)
+    if out_of_range[0]:
+        raise OverflowError("cumulant match outside the float range")
+    return _row(approx, 0)
+
+
+def _row(stack, r: int):
+    """Row r of a dataclass whose fields are arrays over replications."""
+    return type(stack)(**{k: v[r].item() for k, v in vars(stack).items()})
 
 
 @dataclass
 class T0Stat:
-    """Screening sum of studentized squared means above the sparse cutoff."""
+    """Screening sum of studentized squared means above the sparse cutoff, of
+    one sample; the kernels hold value and n_screened as arrays over R and
+    skipped as an R x K mask."""
 
     value: float
     delta: float
@@ -162,25 +226,42 @@ class T0Stat:
     skipped: tuple[int, ...]  # zero-variance coordinates left out
 
 
-def t0_statistic(m: SampleMoments) -> T0Stat:
+def _t0(m: SampleMoments) -> T0Stat:
+    """T0 per replication: value and n_screened are arrays, skipped is the
+    mask of zero-variance coordinates."""
     if m.S <= math.e:
         raise SampleTooSmall("screening cutoff needs S >= 3")
     # ln K floored at ln 2: at K = 1 the literal cutoff would be zero and the
     # screen would fire on any data, destroying the null calibration.
     delta = math.log(math.log(m.S)) ** 2 * math.log(max(m.K, 2))
     cutoff = 9.0 * delta
-    positive = m.diag > 0.0
-    skipped = tuple(int(i) for i in np.nonzero(~positive)[0])
-    h = np.zeros(m.K)
-    h[positive] = m.S * m.mean[positive] ** 2 / m.diag[positive]
+    diag = m.rows("diag")
+    positive = diag > 0.0
+    h = np.where(positive, m.S * m.rows("mean") ** 2 / diag, 0.0)
     fired = positive & (h >= cutoff)
-    value = math.sqrt(m.K) * float(h[fired].sum())
+    total = np.zeros(m.R)
+    for r in np.flatnonzero(fired.any(axis=1)):
+        # summed over the fired coordinates alone, as numpy pairs them
+        total[r] = h[r, fired[r]].sum()
     return T0Stat(
-        value=value,
+        value=math.sqrt(m.K) * total,
         delta=delta,
         cutoff=cutoff,
-        n_screened=int(fired.sum()),
-        skipped=skipped,
+        n_screened=fired.sum(axis=1),
+        skipped=~positive,
+    )
+
+
+def t0_statistic(m: SampleMoments) -> T0Stat:
+    """T0 of a one-sample moments object."""
+    with np.errstate(all="ignore"):
+        t0 = _t0(m)
+    return T0Stat(
+        value=float(t0.value[0]),
+        delta=t0.delta,
+        cutoff=t0.cutoff,
+        n_screened=int(t0.n_screened[0]),
+        skipped=tuple(np.flatnonzero(t0.skipped[0]).tolist()),
     )
 
 
@@ -201,24 +282,69 @@ class TestReport:
     details: dict = field(default_factory=dict)
 
 
-def _degenerate_report(test: str, alpha: float, tag: str, **details) -> TestReport:
-    return TestReport(test=test, alpha=alpha, degenerate=tag, details=details)
+@dataclass
+class Outcomes:
+    """One test on R stacked samples: entry r of each array is sample r.
 
-
-def gs_test(phi, alpha: float = 0.05) -> TestReport:
-    """Screened, trace-normalized test with chi-square-matched calibration.
-
-    The statistic x = T0 + T1/sqrt(k2_hat) is referred, through
-    1 + sqrt(2/d) x, to F(d, (S-1) d), where d is the three-cumulant chi-square
-    match; _gs_from_moments derives the denominator degrees of freedom. As
-    S -> infinity the reference tends to chi2_d / d, i.e. x to
-    (chi2_d - d)/sqrt(2 d).
+    degenerate holds a tag (None where the test ran) and reason its message;
+    ran is where degenerate is None. extra holds the test's other per-sample arrays, which report_fields turns
+    into the components, approx and details of row r's TestReport.
     """
-    return run_tests_from_moments(moments(phi), alpha, ("gs",))[0]
+
+    test: str
+    alpha: float
+    statistic: np.ndarray
+    critical_value: np.ndarray
+    p_value: np.ndarray
+    reject: np.ndarray
+    degenerate: np.ndarray
+    reason: np.ndarray
+    ran: np.ndarray
+    extra: dict
+    report_fields: Callable[[dict, int], dict]
+
+    def report(self, r: int) -> TestReport:
+        if self.degenerate[r] is not None:
+            return TestReport(
+                test=self.test,
+                alpha=self.alpha,
+                degenerate=self.degenerate[r],
+                details={"reason": self.reason[r]},
+            )
+        return TestReport(
+            test=self.test,
+            alpha=self.alpha,
+            statistic=float(self.statistic[r]),
+            critical_value=float(self.critical_value[r]),
+            p_value=float(self.p_value[r]),
+            reject=bool(self.reject[r]),
+            **self.report_fields(self.extra, r),
+        )
 
 
-def _gs_from_moments(m: SampleMoments, alpha: float) -> TestReport:
-    """GS report from precomputed moments.
+def _outcomes(test, alpha, stat, crit, p, flags, extra, report_fields) -> Outcomes:
+    """Outcomes whose degenerate tags follow `flags`, a list of (mask, tag,
+    reason) in falling precedence. A sample none of them flags is tagged
+    FloatRange if its statistic or p-value is not finite: the cumulants are
+    degree 4 and 6 in the attributions, so magnitudes beyond about 1e25
+    overflow them and below about 1e-27 underflow them."""
+    R = len(stat)
+    degenerate = np.full(R, None, dtype=object)
+    reason = np.full(R, None, dtype=object)
+    flags = [*flags, (~(np.isfinite(stat) & np.isfinite(p)), "FloatRange",
+                      "non-finite statistic or p-value")]
+    for mask, tag, why in reversed(flags):
+        if mask.any():
+            degenerate[mask] = tag
+            reason[mask] = why
+    ran = np.equal(degenerate, None)
+    return Outcomes(
+        test, alpha, stat, crit, p, stat >= crit, degenerate, reason, ran, extra, report_fields
+    )
+
+
+def _gs_outcomes(m: SampleMoments, alpha: float) -> Outcomes:
+    """Screened, trace-normalized GS on every sample of a moments object.
 
     With k2 known, the matched null law of the normalized U-statistic T is
     (chi2_d - d)/sqrt(2 d), so 1 + sqrt(2/d) T ~ chi2_d / d. But T divides by
@@ -234,99 +360,141 @@ def _gs_from_moments(m: SampleMoments, alpha: float) -> TestReport:
     numerator d is still the three-cumulant match; as S -> infinity the
     reference tends to chi2_d / d. As d -> infinity at fixed S it tends to
     N(0, S/(S-1)) on the T scale, slightly conservative where d is large.
-    The critical value and p-value are mapped back to the T scale, so
-    reject <=> statistic >= critical_value.
+    Where the F quantile is not finite (d from about 1e17) the normal
+    reference is used. The critical value and p-value are mapped back to the
+    T scale, so reject <=> statistic >= critical_value.
     """
-    try:
-        t1 = t1_statistic(m)
-        approx = chi_sq_approx(m)
-    except DegenerateVariance as exc:
-        return _degenerate_report("gs", alpha, "DegenerateVariance", reason=str(exc))
-    t0 = t0_statistic(m)
+    t1 = _t1(m)
+    approx, out_of_range = _chi_sq(m, t1.k2_hat)
+    t0 = _t0(m)
     stat = t0.value + t1.normalized
-    if not approx.normal_fallback:
-        d = approx.d
-        dfd = (m.S - 1) * d
-        f_crit = float(special.fdtri(d, dfd, 1.0 - alpha))
-        if math.isfinite(f_crit):
-            crit = (f_crit - 1.0) * math.sqrt(d / 2.0)
-            p = float(special.fdtrc(d, dfd, max(1.0 + math.sqrt(2.0 / d) * stat, 0.0)))
+    d = approx.d
+    dfd = (m.S - 1) * d
+    f_crit = special.fdtri(d, dfd, 1.0 - alpha)
+    crit = (f_crit - 1.0) * np.sqrt(d / 2.0)
+    p = special.fdtrc(d, dfd, np.maximum(1.0 + np.sqrt(2.0 / d) * stat, 0.0))
+    normal = approx.normal_fallback = approx.normal_fallback | ~np.isfinite(f_crit)
+    if normal.any():
+        crit[normal] = -special.ndtri(alpha)
+        p[normal] = special.ndtr(-stat[normal])
+    flags = [
+        (t1.k2_hat <= 0.0, "DegenerateVariance", "estimated null variance is not positive"),
+        (out_of_range, "FloatRange", "cumulant match outside the float range"),
+    ]
+    extra = {"t0": t0, "t1": t1, "approx": approx}
+    return _outcomes("gs", alpha, stat, crit, p, flags, extra, _gs_fields)
+
+
+def _gs_fields(x: dict, r: int) -> dict:
+    approx = _row(x["approx"], r)
+    t0 = x["t0"]
+    details = {
+        "t1_raw": float(x["t1"].raw[r]),
+        "screen_cutoff": t0.cutoff,
+        "n_screened": int(t0.n_screened[r]),
+    }
+    skipped = tuple(np.flatnonzero(t0.skipped[r]).tolist())
+    if skipped:
+        details["skipped_coordinates"] = skipped
+    if approx.normal_fallback:
+        details["normal_fallback"] = True
+    components = {"t0": float(t0.value[r]), "t1_normalized": float(x["t1"].normalized[r])}
+    return {"components": components, "approx": approx, "details": details}
+
+
+def gs_test(phi, alpha: float = 0.05) -> TestReport:
+    """Screened, trace-normalized test with chi-square-matched calibration.
+
+    The statistic x = T0 + T1/sqrt(k2_hat) is referred, through
+    1 + sqrt(2/d) x, to F(d, (S-1) d), where d is the three-cumulant chi-square
+    match; _gs_outcomes derives the denominator degrees of freedom. As
+    S -> infinity the reference tends to chi2_d / d, i.e. x to
+    (chi2_d - d)/sqrt(2 d).
+    """
+    return run_tests_from_moments(moments(phi), alpha, ("gs",))[0]
+
+
+def _wald_outcomes(m: SampleMoments, alpha: float) -> Outcomes:
+    """Hotelling/Wald on every sample of a moments object.
+
+    The reported statistic is mean' cov^-1 mean / sqrt(S); the decision uses
+    the exact Hotelling F calibration of S * mean' cov^-1 mean, mapped back
+    to the statistic scale so reject <=> statistic >= critical_value.
+    """
+    S, K, R = m.S, m.K, m.R
+    if K >= S:
+        nan = np.full(R, math.nan)
+        flags = [(np.ones(R, dtype=bool), "SingularCovariance", f"K={K} >= S={S}")]
+        return _outcomes("wald", alpha, nan, nan, nan, flags, {}, None)
+    cov = m.rows("cov")
+    singular = np.zeros(R, dtype=bool)
+    try:
+        chol = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:  # some sample's covariance: find which
+        chol = np.full_like(cov, math.nan)
+        for r in range(R):
+            try:
+                chol[r] = np.linalg.cholesky(cov[r])
+            except np.linalg.LinAlgError:
+                singular[r] = True
+    dl = np.diagonal(chol, axis1=1, axis2=2)
+    ill = _pow(dl.min(axis=1) / dl.max(axis=1), 2)[0] < WALD_MIN_RCOND
+    mean = m.rows("mean")
+    z = np.full((R, K), math.nan)
+    for r in np.flatnonzero(~(singular | ill)):
+        # the LAPACK call and layout of scipy.linalg.solve_triangular: a
+        # C-ordered lower factor is solved as its F-ordered transpose
+        c = chol[r]
+        if c.flags.f_contiguous:
+            z[r] = linalg.lapack.dtrtrs(c, mean[r], lower=1, trans=0)[0]
         else:
-            # the F quantile is nan from d ~ 1e17: use the normal reference
-            approx = replace(approx, normal_fallback=True)
-    if approx.normal_fallback:
-        crit = float(-special.ndtri(alpha))
-        p = float(special.ndtr(-stat))
-    report = TestReport(
-        test="gs",
-        alpha=alpha,
-        statistic=float(stat),
-        critical_value=crit,
-        p_value=p,
-        reject=bool(stat >= crit),
-        components={"t0": t0.value, "t1_normalized": t1.normalized},
-        approx=approx,
-    )
-    report.details["t1_raw"] = t1.raw
-    report.details["screen_cutoff"] = t0.cutoff
-    report.details["n_screened"] = t0.n_screened
-    if t0.skipped:
-        report.details["skipped_coordinates"] = t0.skipped
-    if approx.normal_fallback:
-        report.details["normal_fallback"] = True
-    return report
+            z[r] = linalg.lapack.dtrtrs(c.T, mean[r], lower=0, trans=1)[0]
+    quad = np.vecdot(z, z)
+    stat = quad / math.sqrt(S)
+    t2 = S * quad
+    f_stat = (S - K) / (K * (S - 1)) * t2
+    dfn, dfd = K, S - K
+    p = special.fdtrc(dfn, dfd, f_stat)
+    f_crit = float(special.fdtri(dfn, dfd, 1.0 - alpha))
+    crit = np.full(R, f_crit * K * (S - 1) / ((S - K) * S**1.5))
+    flags = [
+        (singular, "SingularCovariance", "covariance not positive definite"),
+        (ill, "SingularCovariance", "covariance condition number too large"),
+    ]
+    extra = {"hotelling_t2": t2, "f_statistic": f_stat, "df": (dfn, dfd)}
+    return _outcomes("wald", alpha, stat, crit, p, flags, extra, _wald_fields)
+
+
+def _wald_fields(x: dict, r: int) -> dict:
+    details = {
+        "hotelling_t2": float(x["hotelling_t2"][r]),
+        "f_statistic": float(x["f_statistic"][r]),
+        "df": x["df"],
+    }
+    return {"details": details}
 
 
 def wald_test(phi, alpha: float = 0.05) -> TestReport:
     """Classical mean test through the inverse sample covariance.
 
-    The reported statistic is mean' cov^-1 mean / sqrt(S); the decision uses
-    the exact Hotelling F calibration of S * mean' cov^-1 mean, mapped back
-    to the statistic scale so reject <=> statistic >= critical_value.
     Returns a degenerate report whenever K >= S or the covariance is
-    numerically singular.
+    numerically singular; _wald_outcomes gives the calibration.
     """
     return run_tests_from_moments(moments(phi), alpha, ("wald",))[0]
 
 
-def _wald_from_moments(m: SampleMoments, alpha: float) -> TestReport:
-    S, K = m.S, m.K
-    if K >= S:
-        return _degenerate_report(
-            "wald", alpha, "SingularCovariance", reason=f"K={K} >= S={S}"
-        )
-    try:
-        chol = np.linalg.cholesky(m.cov)
-    except np.linalg.LinAlgError:
-        return _degenerate_report(
-            "wald", alpha, "SingularCovariance", reason="covariance not positive definite"
-        )
-    dl = np.diag(chol)
-    if (dl.min() / dl.max()) ** 2 < WALD_MIN_RCOND:
-        return _degenerate_report(
-            "wald",
-            alpha,
-            "SingularCovariance",
-            reason="covariance condition number too large",
-        )
-    z = linalg.solve_triangular(chol, m.mean, lower=True, check_finite=False)
-    quad = float(z @ z)
-    stat = quad / math.sqrt(S)
-    t2 = S * quad
-    f_stat = (S - K) / (K * (S - 1)) * t2
-    dfn, dfd = K, S - K
-    p = float(special.fdtrc(dfn, dfd, f_stat))
-    f_crit = float(special.fdtri(dfn, dfd, 1.0 - alpha))
-    crit = f_crit * K * (S - 1) / ((S - K) * S**1.5)
-    return TestReport(
-        test="wald",
-        alpha=alpha,
-        statistic=stat,
-        critical_value=crit,
-        p_value=p,
-        reject=bool(stat >= crit),
-        details={"hotelling_t2": t2, "f_statistic": f_stat, "df": (dfn, dfd)},
-    )
+def _cq_outcomes(m: SampleMoments, alpha: float) -> Outcomes:
+    """CQ on every sample of a moments object."""
+    t1 = _t1(m)
+    stat = t1.normalized
+    crit = np.full(m.R, -special.ndtri(alpha))
+    p = special.ndtr(-stat)
+    flags = [(t1.k2_hat <= 0.0, "DegenerateVariance", "estimated null variance is not positive")]
+    return _outcomes("cq", alpha, stat, crit, p, flags, {"u": t1.raw}, _cq_fields)
+
+
+def _cq_fields(x: dict, r: int) -> dict:
+    return {"details": {"u_statistic": float(x["u"][r])}}
 
 
 def cq_test(phi, alpha: float = 0.05) -> TestReport:
@@ -335,51 +503,35 @@ def cq_test(phi, alpha: float = 0.05) -> TestReport:
     return run_tests_from_moments(moments(phi), alpha, ("cq",))[0]
 
 
-def _cq_from_moments(m: SampleMoments, alpha: float) -> TestReport:
-    try:
-        t1 = t1_statistic(m)
-    except DegenerateVariance as exc:
-        return _degenerate_report("cq", alpha, "DegenerateVariance", reason=str(exc))
-    stat = t1.normalized
-    crit = float(-special.ndtri(alpha))
-    p = float(special.ndtr(-stat))
-    return TestReport(
-        test="cq",
-        alpha=alpha,
-        statistic=float(stat),
-        critical_value=crit,
-        p_value=p,
-        reject=bool(stat >= crit),
-        details={"u_statistic": t1.raw},
-    )
+TESTS = {"gs": _gs_outcomes, "wald": _wald_outcomes, "cq": _cq_outcomes}
 
 
-TESTS = {"gs": _gs_from_moments, "wald": _wald_from_moments, "cq": _cq_from_moments}
-
-
-def _checked_report(test: str, m: SampleMoments, alpha: float) -> TestReport:
-    """One test's report, degenerate if its arithmetic left the float range.
-
-    The cumulants are degree 4 and 6 in the attributions, so magnitudes beyond
-    about 1e25 overflow them and below about 1e-27 underflow them.
-    """
-    try:
-        rep = TESTS[test](m, alpha)
-        if rep.degenerate is None and not (
-            math.isfinite(rep.statistic) and math.isfinite(rep.p_value)
-        ):
-            raise OverflowError("non-finite statistic or p-value")
-    except (OverflowError, ZeroDivisionError) as exc:
-        return _degenerate_report(test, alpha, "FloatRange", reason=str(exc))
-    return rep
-
-
-def run_tests_from_moments(m: SampleMoments, alpha: float, tests) -> list[TestReport]:
-    """Dispatch several tests against one precomputed moments object."""
+def outcomes_from_moments(m: SampleMoments, alpha: float, tests) -> list[Outcomes]:
+    """Several tests on every sample of one moments object."""
     unknown = [t for t in tests if t not in TESTS]
     if unknown:
         raise ValueError(f"unknown tests: {unknown}; choose from {sorted(TESTS)}")
-    return [_checked_report(t, m, alpha) for t in tests]
+    # a sample outside the float range overflows here; its tests are tagged
+    with np.errstate(all="ignore"):
+        return [TESTS[t](m, alpha) for t in tests]
+
+
+def run_tests_from_moments(m: SampleMoments, alpha: float, tests) -> list[TestReport]:
+    """Reports of several tests on a one-sample moments object."""
+    return [o.report(0) for o in outcomes_from_moments(m, alpha, tests)]
+
+
+# The report of one test on a one-sample moments object.
+def _gs_from_moments(m: SampleMoments, alpha: float) -> TestReport:
+    return run_tests_from_moments(m, alpha, ("gs",))[0]
+
+
+def _wald_from_moments(m: SampleMoments, alpha: float) -> TestReport:
+    return run_tests_from_moments(m, alpha, ("wald",))[0]
+
+
+def _cq_from_moments(m: SampleMoments, alpha: float) -> TestReport:
+    return run_tests_from_moments(m, alpha, ("cq",))[0]
 
 
 def group_joint_test(

@@ -4,7 +4,9 @@ Attribution-like samples follow a factor model: row = mu + root(Sigma) * z
 with compound-symmetric Sigma and unit-variance innovations drawn from a
 normal, scaled-t4 or centered chi-square-1 model. Streams are counter-based
 (Philox keyed by seed and replication index), so parallel and serial runs
-produce identical output.
+produce identical output. Replications are generated in blocks: a block of R
+replications is one R x S x K stack, each of whose samples is drawn from its
+own stream, so a replication is the same whatever block it falls in.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ class SimSpec:
 
 @dataclass
 class FactorSample:
-    phi: np.ndarray  # S x K
+    phi: np.ndarray  # S x K, or R x S x K for a block of replications
     mu: np.ndarray  # length K
     spec: SimSpec = field(repr=False)
 
@@ -109,7 +111,7 @@ def _apply_root(z: np.ndarray, K: int, rho: float, sigma2: float) -> np.ndarray:
     # z @ root without forming the K x K matrix
     s_small = math.sqrt(sigma2 * (1.0 - rho))
     s_big = math.sqrt(sigma2 * (1.0 - rho + rho * K))
-    return s_small * z + (s_big - s_small) / K * z.sum(axis=1, keepdims=True)
+    return s_small * z + (s_big - s_small) / K * z.sum(axis=-1, keepdims=True)
 
 
 def alternative_mu(kind: Alternative, K: int, S: int) -> np.ndarray:
@@ -123,13 +125,17 @@ def alternative_mu(kind: Alternative, K: int, S: int) -> np.ndarray:
     return mu
 
 
-def generate(spec: SimSpec, replication_index: int) -> FactorSample:
-    """Deterministic function of (spec.seed, replication_index)."""
-    rng = replication_rng(spec.seed, replication_index)
-    z = draw_z(spec.model, spec.S, spec.K, rng)
+def generate(spec: SimSpec, replication_index: int, stop: int | None = None) -> FactorSample:
+    """Replication `replication_index` of a cell, a deterministic function of
+    (spec.seed, replication_index). Given `stop`, the block of replications
+    replication_index .. stop - 1 as an R x S x K stack."""
+    indices = range(replication_index, replication_index + 1 if stop is None else stop)
+    z = np.empty((len(indices), spec.S, spec.K))
+    for i, r in enumerate(indices):
+        z[i] = draw_z(spec.model, spec.S, spec.K, replication_rng(spec.seed, r))
     mu = alternative_mu(spec.alternative, spec.K, spec.S)
     phi = mu + _apply_root(z, spec.K, spec.rho, spec.sigma2)
-    return FactorSample(phi=phi, mu=mu, spec=spec)
+    return FactorSample(phi=phi[0] if stop is None else phi, mu=mu, spec=spec)
 
 
 def read_simspec_file(path) -> dict:

@@ -9,9 +9,11 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import linalg, special
 
 from groupshap.tree import LEAF, Tree, TreeEnsemble
 
@@ -307,6 +309,129 @@ def reference_train_gbm(data, n_trees=100, max_depth=3, learning_rate=0.1, min_s
     return TreeEnsemble(
         trees=trees, n_features=X.shape[1], base_score=base, feature_names=list(data.columns)
     )
+
+
+# --------------------------------------------------------------------------
+# reference moments and tests: one sample at a time, in Python scalars
+
+
+def reference_moments(phi):
+    """Moments of one S x K sample, as the library computed them one
+    replication at a time before the statistics were stacked."""
+    phi = np.asarray(phi, dtype=float)
+    S, K = phi.shape
+    mean = phi.mean(axis=0)
+    centered = phi - mean
+    diag = (centered * centered).sum(axis=0) / (S - 1)
+    gram = S <= K
+    a = (centered @ centered.T if gram else centered.T @ centered) / (S - 1)
+    a = (a + a.T) / 2.0
+    tr1 = float(np.trace(a))
+    t2 = float((a * a).sum())
+    t3 = float(((a @ a) * a).sum())
+    try:
+        tr2_hat = (S - 1) ** 2 / ((S - 2) * (S + 1)) * (t2 - tr1**2 / (S - 1))
+        tr3_hat = (
+            (S - 1) ** 4
+            / ((S**2 + S - 6) * (S**2 - 2 * S - 3))
+            * (t3 - 3 * tr1 * t2 / (S - 1) + 2 * tr1**3 / (S - 1) ** 2)
+        )
+    except OverflowError:
+        tr2_hat = tr3_hat = math.nan
+    return SimpleNamespace(
+        mean=mean, S=S, K=K, tr1=tr1, tr2_hat=tr2_hat, tr3_hat=tr3_hat, diag=diag,
+        cov=None if gram else a,
+    )
+
+
+def _reference_outcome(test, statistic=None, critical_value=None, p_value=None, degenerate=None):
+    reject = None if degenerate else bool(statistic >= critical_value)
+    return SimpleNamespace(
+        test=test, statistic=statistic, critical_value=critical_value, p_value=p_value,
+        reject=reject, degenerate=degenerate,
+    )
+
+
+def _reference_t1(m):
+    raw = float(m.mean @ m.mean) - m.tr1 / m.S
+    k2 = 2.0 * m.tr2_hat / (m.S * (m.S - 1))
+    if k2 <= 0.0:
+        return None
+    return raw, raw / math.sqrt(k2), k2
+
+
+def _reference_gs(m, alpha):
+    t1 = _reference_t1(m)
+    if t1 is None:
+        return _reference_outcome("gs", degenerate="DegenerateVariance")
+    _, normalized, k2 = t1
+    k3 = 8.0 * (m.S - 2) * m.tr3_hat / (m.S**2 * (m.S - 1) ** 2)
+    fallback = k3 == 0.0
+    if not fallback:
+        _beta0 = -2.0 * k2**2 / k3  # its power can overflow
+        d = 8.0 * k2**3 / k3**2
+    cutoff = 9.0 * math.log(math.log(m.S)) ** 2 * math.log(max(m.K, 2))
+    positive = m.diag > 0.0
+    h = np.zeros(m.K)
+    h[positive] = m.S * m.mean[positive] ** 2 / m.diag[positive]
+    stat = math.sqrt(m.K) * float(h[positive & (h >= cutoff)].sum()) + normalized
+    if not fallback:
+        dfd = (m.S - 1) * d
+        f_crit = float(special.fdtri(d, dfd, 1.0 - alpha))
+        fallback = not math.isfinite(f_crit)
+        if not fallback:
+            crit = (f_crit - 1.0) * math.sqrt(d / 2.0)
+            p = float(special.fdtrc(d, dfd, max(1.0 + math.sqrt(2.0 / d) * stat, 0.0)))
+    if fallback:
+        crit = float(-special.ndtri(alpha))
+        p = float(special.ndtr(-stat))
+    return _reference_outcome("gs", float(stat), crit, p)
+
+
+def _reference_wald(m, alpha):
+    S, K = m.S, m.K
+    if K >= S:
+        return _reference_outcome("wald", degenerate="SingularCovariance")
+    try:
+        chol = np.linalg.cholesky(m.cov)
+    except np.linalg.LinAlgError:
+        return _reference_outcome("wald", degenerate="SingularCovariance")
+    dl = np.diag(chol)
+    if (dl.min() / dl.max()) ** 2 < 1e-13:
+        return _reference_outcome("wald", degenerate="SingularCovariance")
+    z = linalg.solve_triangular(chol, m.mean, lower=True, check_finite=False)
+    quad = float(z @ z)
+    f_stat = (S - K) / (K * (S - 1)) * (S * quad)
+    p = float(special.fdtrc(K, S - K, f_stat))
+    crit = float(special.fdtri(K, S - K, 1.0 - alpha)) * K * (S - 1) / ((S - K) * S**1.5)
+    return _reference_outcome("wald", quad / math.sqrt(S), crit, p)
+
+
+def _reference_cq(m, alpha):
+    t1 = _reference_t1(m)
+    if t1 is None:
+        return _reference_outcome("cq", degenerate="DegenerateVariance")
+    stat = t1[1]
+    return _reference_outcome("cq", stat, float(-special.ndtri(alpha)), float(special.ndtr(-stat)))
+
+
+def reference_run_tests(m, alpha, tests):
+    """Each test on one sample's reference moments: statistic, critical value,
+    p-value, reject and degenerate tag, with FloatRange where the arithmetic
+    raised or left a non-finite statistic or p-value."""
+    run = {"gs": _reference_gs, "wald": _reference_wald, "cq": _reference_cq}
+    out = []
+    for test in tests:
+        try:
+            rep = run[test](m, alpha)
+            if rep.degenerate is None and not (
+                math.isfinite(rep.statistic) and math.isfinite(rep.p_value)
+            ):
+                raise OverflowError
+        except (OverflowError, ZeroDivisionError):
+            rep = _reference_outcome(test, degenerate="FloatRange")
+        out.append(rep)
+    return out
 
 
 @pytest.fixture

@@ -390,6 +390,18 @@ def test_simulate_is_byte_deterministic(tmp_path):
     assert set(echo["outputs"]) >= {str(out_a / "size_table.csv"), str(out_a / "are.csv")}
 
 
+def test_simulate_writes_diagnostics_beside_the_tables(tmp_path, capsys):
+    out = tmp_path / "d"
+    assert main(["simulate", "size", "--models", "normal", "--k", "5,30", "--s", "20",
+                 "--rho", "0.2", "--reps", "30", "--seed", "7", "--out", str(out)]) == 0
+    rows = (out / "diagnostics.csv").read_text().splitlines()
+    assert rows[0].startswith("model,K,S,rho,alternative,replications,gs_screen_fire_rate")
+    assert len(rows) == 3  # header and one row per cell
+    assert rows[2].endswith(",30")  # K = 30 >= S = 20: Wald degenerate throughout
+    assert str(out / "diagnostics.csv") in json.loads((out / "run.json").read_text())["outputs"]
+    assert f"wrote {out / 'diagnostics.csv'}" in capsys.readouterr().out
+
+
 def test_simulate_power_writes_power_table(tmp_path):
     assert main(["simulate", "power", "--models", "normal", "--k", "5", "--s", "30",
                  "--reps", "40", "--seed", "3", "--tests", "gs",

@@ -14,6 +14,9 @@ from groupshap.errors import (
     ShapeError,
 )
 from groupshap.experiments import (
+    CellResult,
+    GridResult,
+    _run_cell,
     are_metric,
     corr_determinant,
     emit_tables,
@@ -22,6 +25,7 @@ from groupshap.experiments import (
     lorenz_gini,
     run_power_grid,
     run_size_grid,
+    write_diagnostics_csv,
     write_grid_csv,
 )
 
@@ -167,6 +171,69 @@ def test_grid_deterministic_across_schedules(monkeypatch):
     pooled = run_size_grid(_tiny_size_specs(), tests=("cq", "gs"), master_seed=42)
     assert pools == [2]  # two cells, so two threads
     assert serial.cells == pooled.cells
+
+
+@pytest.mark.parametrize("reps", [1, 7, 23])
+def test_blocking_does_not_change_results(monkeypatch, reps):
+    # blocks of 10, 5, 2 and 1 replications; K >= S makes Wald degenerate
+    specs = grid_specs(["skewed"], [20, 40, 100], [50, 100], [0.5], "null", reps, 11)
+    tests = ("wald", "cq", "gs")
+    blocked = [_run_cell(spec, tests) for spec in specs]
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+    pooled = run_size_grid(specs, tests, master_seed=11)  # K * S = 1e4: on the pool
+    monkeypatch.setattr(experiments, "POOL_MIN_CELL_SIZE", 0)
+    single = [_run_cell(spec, tests) for spec in specs]  # blocks of one
+    cells = [c for chunk, _ in blocked for c in chunk]
+    assert cells == pooled.cells == [c for chunk, _ in single for c in chunk]
+    diagnostics = [d for _, d in blocked]
+    assert diagnostics == pooled.diagnostics == [d for _, d in single]
+    assert all(c.degenerate_count == reps for c in cells if c.test == "wald" and c.K >= c.S)
+
+
+def test_diagnostics_csv_has_one_row_per_cell(tmp_path):
+    import csv as csvmod
+
+    result = run_size_grid(_tiny_size_specs(reps=40), tests=("wald", "cq", "gs"), master_seed=42)
+    path = tmp_path / "diagnostics.csv"
+    write_diagnostics_csv(result, path, ("wald", "cq", "gs"))
+    with open(path) as fh:
+        rows = list(csvmod.DictReader(fh))
+    assert [(r["K"], r["S"]) for r in rows] == [("5", "20"), ("30", "20")]
+    for r in rows:
+        assert 0.0 <= float(r["gs_screen_fire_rate"]) <= 1.0
+        assert 0.0 <= float(r["gs_normal_fallback_rate"]) <= 1.0
+        assert float(r["gs_d_q05"]) <= float(r["gs_d_q50"]) <= float(r["gs_d_q95"])
+    # K = 30 >= S = 20: every Wald replication is degenerate
+    assert [r["degenerate_wald_SingularCovariance"] for r in rows] == ["0", "40"]
+    wald_only = run_size_grid(_tiny_size_specs(reps=10), tests=("wald",), master_seed=42)
+    write_diagnostics_csv(wald_only, path, ("wald",))
+    with open(path) as fh:
+        rows = list(csvmod.DictReader(fh))
+    assert rows[0]["gs_screen_fire_rate"] == rows[0]["gs_d_q50"] == "NaN"
+
+
+def _hand_grid(tests, alternative, rho):
+    cells = [
+        CellResult("normal", K, 50, r, alternative, t, 3, 100, 0)
+        for K in (10, 20)
+        for r in (rho, 0.5)
+        for t in tests
+    ]
+    return GridResult(cells=cells, alpha=0.05, seed=1)
+
+
+@pytest.mark.parametrize(
+    "tests, alternative, rho, label",
+    [(("gs",), "dense", 0.3, "dense rho=0.3"), (("gs",), "null", 0.1234, "rho=0.1234")],
+)
+def test_format_grid_table_widens_a_block_to_its_label(tests, alternative, rho, label):
+    lines = format_grid_table(_hand_grid(tests, alternative, rho), tests).splitlines()
+    assert label in lines[1]
+    # every line but the title and the rules has its block bars in one place
+    ruled = [line for line in lines[1:] if not set(line) <= {"-"}]
+    bars = {tuple(i for i, ch in enumerate(line) if ch == "|") for line in ruled}
+    assert len(bars) == 1
+    assert {len(line) for line in ruled} == {len(lines[1])}
 
 
 def test_size_grid_requires_null_cells():

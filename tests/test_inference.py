@@ -20,11 +20,16 @@ from groupshap.inference import (
     group_joint_test,
     gs_test,
     moments,
+    outcomes_from_moments,
+    run_tests_from_moments,
     t0_statistic,
     t1_statistic,
     wald_test,
 )
 from groupshap.shapley import FeatureGrouping
+from groupshap.simgen import SimSpec, generate
+
+from conftest import reference_moments, reference_run_tests
 
 FIVE_POINTS = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])[:, None]
 
@@ -528,3 +533,72 @@ def test_permutation_invariance(seed):
         a = fn(phi, 0.05)
         b = fn(phi[:, cols], 0.05)
         assert b.statistic == pytest.approx(a.statistic, rel=1e-9)
+
+
+# --------------------------------------------------------------------------
+# stacked kernel against the one-sample reference
+
+ALL_TESTS = ("gs", "wald", "cq")
+
+
+def _assert_stack_matches_reference(stack, alpha=0.05):
+    """One call on the R-stack, and each sample as a stack of one, give the
+    reference's tags and, where a test ran, its exact numbers."""
+    outcomes = outcomes_from_moments(moments(stack), alpha, ALL_TESTS)
+    refs = [reference_run_tests(reference_moments(phi), alpha, ALL_TESTS) for phi in stack]
+    for j, o in enumerate(outcomes):
+        ref = [row[j] for row in refs]
+        assert list(o.degenerate) == [r.degenerate for r in ref], o.test
+        ran = o.ran
+        for name in ("statistic", "critical_value", "p_value", "reject"):
+            want = [getattr(r, name) for r in ref if r.degenerate is None]
+            assert np.array_equal(getattr(o, name)[ran], np.array(want, dtype=float)), (o.test, name)
+    for phi, ref in zip(stack, refs):
+        reports = run_tests_from_moments(moments(phi), alpha, ALL_TESTS)
+        for rep, r in zip(reports, ref):
+            assert (rep.degenerate, rep.statistic, rep.critical_value, rep.p_value, rep.reject) == (
+                r.degenerate, r.statistic, r.critical_value, r.p_value, r.reject
+            )
+
+
+@pytest.mark.parametrize("model", ["normal", "symmetric", "skewed"])
+@pytest.mark.parametrize("K,S", [(20, 50), (5, 300), (1, 12), (25, 10), (40, 40)])
+def test_stacked_kernel_matches_reference_bit_for_bit(model, K, S):
+    # K < S takes the covariance branch, K >= S the Gram branch
+    spec = SimSpec(model=model, K=K, S=S, rho=0.5, seed=17)
+    _assert_stack_matches_reference(generate(spec, 0, 12).phi)
+
+
+def test_stacked_kernel_isolates_singular_samples(rng):
+    stack = rng.normal(size=(9, 30, 4))
+    stack[3, :, 3] = stack[3, :, 1]  # collinear columns: condition number
+    stack[4, :, 2] = 1.5  # a constant column: no Cholesky factor
+    stack[6] = 2.0  # constant: no variance at all
+    _assert_stack_matches_reference(stack)
+    gs, wald, cq = outcomes_from_moments(moments(stack), 0.05, ALL_TESTS)
+    singular = "SingularCovariance"
+    assert list(wald.degenerate) == [None] * 3 + [singular] * 2 + [None, singular, None, None]
+    assert gs.degenerate[6] == cq.degenerate[6] == "DegenerateVariance"
+    assert wald.report(4).details["reason"] == "covariance not positive definite"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_stacked_kernel_matches_reference_across_float_range():
+    # the matrix of test_scale_outside_the_float_range_is_degenerate_not_an_error,
+    # at every power of ten
+    scales = 10.0 ** np.arange(-323, 308)
+    stack = np.random.default_rng(5).normal(size=(30, 3)) * scales[:, None, None]
+    _assert_stack_matches_reference(stack)
+
+
+@pytest.mark.parametrize("R,S,K", [(5, 50, 20), (3, 12, 30), (2, 300, 100), (2, 60, 500)])
+def test_stacked_products_are_exactly_symmetric(R, S, K):
+    # moments relies on this: it takes the traces and the Cholesky factor of
+    # the Gram or covariance product without symmetrizing it
+    centered = np.random.default_rng(R * S * K).normal(size=(R, S, K))
+    transposed = centered.transpose(0, 2, 1)
+    for a in (centered @ transposed, transposed @ centered):
+        assert np.array_equal(a, a.transpose(0, 2, 1))
+    m = moments(centered)
+    if m.cov is not None:
+        assert np.array_equal(m.cov, m.cov.transpose(0, 2, 1))
