@@ -4,9 +4,10 @@ Grid cells run independently; each replication derives its stream from the
 cell seed and the replication index, so results are identical whether the
 cells run serially or on a thread pool. Within a cell, replications run in
 blocks: one block is generated as an R x S x K stack, and one moments pass
-and one call per test compute its statistics as arrays over R. Emitted
-tables mirror the study layout: model/K/S as rows, one column block per
-(alternative, rho) with one column per test, degenerate cells printed as NaN.
+and one call per test compute its statistics as arrays over R; a block of
+one replication is a single S x K sample. Emitted tables mirror the study
+layout: model/K/S as rows, one column block per (alternative, rho) with one
+column per test, degenerate cells printed as NaN.
 Per-cell diagnostics go to their own file, outside the tables.
 """
 
@@ -25,7 +26,9 @@ from .errors import AREUnavailable, DegenerateConcentration, ShapeError
 from .inference import moments, outcomes_from_moments
 from .simgen import Alternative, SimSpec, ZModel, generate
 
-# perfbench/tracing.py patches these names here to time their layers
+# _run_cell does not call this; perfbench/tracing.py looks the name up here
+# and wraps it, so it stays importable (its per-test spans stay empty on the
+# grid)
 from .inference import run_tests_from_moments  # noqa: F401
 
 DEFAULT_TESTS = ("wald", "cq", "gs")
@@ -158,27 +161,32 @@ def grid_specs(
 
 
 def _run_cell(spec: SimSpec, tests) -> tuple[list[CellResult], CellDiagnostics]:
-    block = int(min(spec.replications, max(1, POOL_MIN_CELL_SIZE // (spec.K * spec.S))))
-    rejections = dict.fromkeys(tests, 0)
-    degenerate = Counter()
-    gs_fired = gs_fallback = 0
-    gs_d = []
-    for start in range(0, spec.replications, block):
+    n = spec.replications
+    block = int(min(n, max(1, POOL_MIN_CELL_SIZE // (spec.K * spec.S))))
+    # per test, each replication's degenerate flag and decision; the GS
+    # arrays feed the diagnostics
+    flag = {t: np.empty(n, dtype=np.intp) for t in tests}
+    reject = {t: np.empty(n, dtype=bool) for t in tests}
+    reasons = {}
+    n_screened, fallback, d = np.empty(n, dtype=np.intp), np.empty(n, dtype=bool), np.empty(n)
+    for start in range(0, n, block):
+        stop = min(start + block, n)
         # phi is held until the next block: freed before the tests run, it
         # lets the allocator return the heap top to the OS, and every block
         # of a large cell faults its pages in again (144 minor faults per
         # replication at K=100, S=300)
-        phi = generate(spec, start, min(start + block, spec.replications)).phi
-        m = moments(phi)
-        for o in outcomes_from_moments(m, spec.alpha, tests):
-            ran = o.ran
-            rejections[o.test] += int(np.count_nonzero(o.reject & ran))
-            degenerate.update((o.test, tag) for tag in o.degenerate[~ran])
+        # a block of one is one S x K sample, whose statistics are numpy
+        # scalars: a tenth of the cost of length-1 arrays
+        phi = (generate(spec, start) if stop - start == 1 else generate(spec, start, stop)).phi
+        for o in outcomes_from_moments(moments(phi), spec.alpha, tests):
+            flag[o.test][start:stop] = o.flag
+            reject[o.test][start:stop] = o.reject
+            # a test's flags depend on K and S alone, which the cell fixes
+            reasons[o.test] = o.flags
             if o.test == "gs":
-                t0, approx = o.extra["t0"], o.extra["approx"]
-                gs_fired += int(np.count_nonzero(ran & (t0.n_screened > 0)))
-                gs_fallback += int(np.count_nonzero(ran & approx.normal_fallback))
-                gs_d.append(approx.d[ran & np.isfinite(approx.d)])
+                n_screened[start:stop] = o.extra["t0"]["n_screened"]
+                fallback[start:stop] = o.extra["approx"]["normal_fallback"]
+                d[start:stop] = o.extra["approx"]["d"]
     key = dict(
         model=spec.model.value,
         K=spec.K,
@@ -186,25 +194,29 @@ def _run_cell(spec: SimSpec, tests) -> tuple[list[CellResult], CellDiagnostics]:
         rho=spec.rho,
         alternative=spec.alternative.value,
     )
-    cells = [
-        CellResult(
-            **key,
-            test=t,
-            rejections=rejections[t],
-            replications=spec.replications,
-            degenerate_count=sum(n for (test, _), n in degenerate.items() if test == t),
+    cells, degenerate = [], Counter()
+    for t in tests:
+        ran = flag[t] == 0
+        per_flag = np.bincount(flag[t], minlength=len(reasons[t]) + 1)[1:]
+        for (tag, _), count in zip(reasons[t], per_flag.tolist()):
+            degenerate[(t, tag)] += count
+        cells.append(
+            CellResult(
+                **key,
+                test=t,
+                rejections=int(np.count_nonzero(reject[t] & ran)),
+                replications=n,
+                degenerate_count=n - int(np.count_nonzero(ran)),
+            )
         )
-        for t in tests
-    ]
-    diagnostics = CellDiagnostics(
-        **key, replications=spec.replications, degenerate=dict(degenerate)
-    )
+    diagnostics = CellDiagnostics(**key, replications=n, degenerate=dict(+degenerate))
     if "gs" in tests:
-        d = np.concatenate(gs_d)
-        diagnostics.gs_screen_fired = gs_fired
-        diagnostics.gs_normal_fallback = gs_fallback
-        if d.size:
-            diagnostics.gs_d_quantiles = tuple(np.quantile(d, (0.05, 0.5, 0.95)).tolist())
+        ran = flag["gs"] == 0
+        diagnostics.gs_screen_fired = int(np.count_nonzero(ran & (n_screened > 0)))
+        diagnostics.gs_normal_fallback = int(np.count_nonzero(ran & fallback))
+        fitted = d[ran & np.isfinite(d)]
+        if fitted.size:
+            diagnostics.gs_d_quantiles = tuple(np.quantile(fitted, (0.05, 0.5, 0.95)).tolist())
     return cells, diagnostics
 
 

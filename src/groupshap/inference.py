@@ -6,9 +6,10 @@ match. Because the normalizing variance is itself estimated, the matched
 chi2_d / d is replaced by the studentized F(d, (S-1) d), which tends to it as
 S grows. Classical Hotelling/Wald and the trace-normalized normal-reference
 test are included as baselines. All statistics are functions of the sample
-moments, so one moments pass feeds every test. Moments and tests take a
-stack of R samples as well as one: every statistic is computed once, as an
-array over the stack, and a TestReport is read off one row of it.
+moments, so one moments pass feeds every test. Moments and tests take an
+R x S x K stack of samples as well as one S x K sample: every per-sample
+quantity then gains a leading axis of length R, so a block of Monte Carlo
+replications is one pass, and one sample's quantities are numpy scalars.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import linalg, special
@@ -30,31 +32,37 @@ class SampleMoments:
     """Mean, covariance and trace statistics of an S x K sample, or of each
     sample of an R x S x K stack.
 
-    For one sample mean and diag are K-vectors, the traces are floats and cov
-    is K x K; for a stack each field gains a leading axis of length R.
     tr2_hat and tr3_hat are the unbiased estimates of tr(Sigma^2) and
     tr(Sigma^3). The trace statistics only need the smaller of the K x K
     covariance and the S x S Gram matrix, so cov is None when S <= K, where
-    Wald is degenerate and nothing reads it.
+    Wald is degenerate and nothing reads it. For a stack every field gains a
+    leading axis of length R: mean is R x K, tr1 has length R.
     """
 
     def __init__(self, mean, S, tr1, tr2_hat, tr3_hat, diag, cov=None):
         self.mean = np.asarray(mean, dtype=float)
         self.S = int(S)
         self.K = self.mean.shape[-1]
-        self.stacked = self.mean.ndim == 2
-        self.R = self.mean.shape[0] if self.stacked else 1
-        trace = (lambda v: np.asarray(v, dtype=float)) if self.stacked else float
-        self.tr1 = trace(tr1)
-        self.tr2_hat = trace(tr2_hat)
-        self.tr3_hat = trace(tr3_hat)
+        # [()] turns one sample's 0-d arrays into numpy float scalars
+        self.tr1 = np.asarray(tr1, dtype=float)[()]
+        self.tr2_hat = np.asarray(tr2_hat, dtype=float)[()]
+        self.tr3_hat = np.asarray(tr3_hat, dtype=float)[()]
         self.diag = np.asarray(diag, dtype=float)
         self.cov = cov
 
-    def rows(self, name: str) -> np.ndarray:
-        """Field `name` with a leading replication axis (of length 1 for one sample)."""
-        value = np.asarray(getattr(self, name), dtype=float)
-        return value if self.stacked else value[None]
+    @cached_property
+    def t1(self) -> tuple:
+        """The T1Stat fields raw, normalized and k2_hat, per sample; GS and
+        CQ share them. k2_hat <= 0 marks a degenerate sample."""
+        raw = np.vecdot(self.mean, self.mean) - self.tr1 / self.S
+        k2 = 2.0 * self.tr2_hat / (self.S * (self.S - 1))
+        return raw, raw / np.sqrt(k2), k2
+
+
+def _one_sample(m: SampleMoments) -> SampleMoments:
+    if m.mean.ndim != 1:
+        raise ShapeError(f"expected the moments of one S x K sample, got a stack of {len(m.mean)}")
+    return m
 
 
 def _as_phi(phi, stacked: bool = False) -> np.ndarray:
@@ -68,12 +76,18 @@ def _as_phi(phi, stacked: bool = False) -> np.ndarray:
     return phi
 
 
-def _pow(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _pow(x, n: int):
     """x**n element by element with Python's float power, which calls the C
     library's pow (numpy's power rounds differently in the last bit), and the
-    mask of where it overflowed, which Python reports by raising."""
+    mask of where it overflowed, which Python reports by raising (None where
+    nothing did)."""
+    if not isinstance(x, np.ndarray) or x.ndim == 0:
+        try:
+            return np.float64(float(x) ** n), None
+        except OverflowError:
+            return np.float64(math.inf), np.True_
     try:
-        return np.array([v**n for v in x.tolist()]), np.zeros(len(x), dtype=bool)
+        return np.array([v**n for v in x.tolist()]), None
     except OverflowError:
         pass
     out = np.empty(len(x))
@@ -93,76 +107,59 @@ def moments(phi) -> SampleMoments:
     The tr(Sigma^3) estimator's constant has roots at S=3, hence S >= 4.
     """
     phi = _as_phi(phi, stacked=True)
-    stack = phi if phi.ndim == 3 else phi[None]
-    R, S, K = stack.shape
+    *lead, S, K = phi.shape
     if S <= 3:
         raise SampleTooSmall(f"need S >= 4 observations, got {S}")
-    mean = stack.mean(axis=1)
-    centered = stack - mean[:, None, :]
-    diag = (centered * centered).sum(axis=1) / (S - 1)
+    mean = phi.mean(axis=-2)
+    centered = phi - mean[..., None, :]
+    diag = (centered * centered).sum(axis=-2) / (S - 1)
     # traces on the smaller of the S x S Gram and the K x K covariance matrix:
     # both have the same nonzero spectrum
     gram = S <= K
-    transposed = centered.transpose(0, 2, 1)
+    transposed = centered.swapaxes(-1, -2)
     # both products go to BLAS syrk, which fills one triangle and mirrors it,
     # so a is exactly symmetric
     a = (centered @ transposed if gram else transposed @ centered) / (S - 1)
-    tr1 = np.trace(a, axis1=1, axis2=2)
-    t2 = (a * a).reshape(R, -1).sum(axis=1)
-    t3 = ((a @ a) * a).reshape(R, -1).sum(axis=1)
+    tr1 = np.trace(a, axis1=-2, axis2=-1)
+    t2 = (a * a).reshape(*lead, -1).sum(axis=-1)
+    t3 = ((a @ a) * a).reshape(*lead, -1).sum(axis=-1)
     tr1_sq = _pow(tr1, 2)[0]
     tr1_cubed, lost = _pow(tr1, 3)
-    with np.errstate(invalid="ignore"):  # inf - inf beyond the float range
+    with np.errstate(all="ignore"):  # inf - inf beyond the float range
         tr2_hat = (S - 1) ** 2 / ((S - 2) * (S + 1)) * (t2 - tr1_sq / (S - 1))
         tr3_hat = (
             (S - 1) ** 4
             / ((S**2 + S - 6) * (S**2 - 2 * S - 3))
             * (t3 - 3 * tr1 * t2 / (S - 1) + 2 * tr1_cubed / (S - 1) ** 2)
         )
-    # tr1 beyond the float range when cubed: no trace estimate
-    tr2_hat[lost] = tr3_hat[lost] = math.nan
-    if phi.ndim == 3:
-        return SampleMoments(mean, S, tr1, tr2_hat, tr3_hat, diag, None if gram else a)
-    return SampleMoments(
-        mean[0], S, tr1[0], tr2_hat[0], tr3_hat[0], diag[0], None if gram else a[0]
-    )
+    if lost is not None:  # tr1 beyond the float range when cubed: no trace estimate
+        tr2_hat, tr3_hat = np.where(lost, math.nan, tr2_hat), np.where(lost, math.nan, tr3_hat)
+    return SampleMoments(mean, S, tr1, tr2_hat, tr3_hat, diag, None if gram else a)
 
 
 @dataclass
 class T1Stat:
-    """T1 of one sample; the kernels hold each field as an array over R."""
-
     raw: float  # ||mean||^2 - tr(cov)/S == mean pairwise inner product
     normalized: float  # raw / sqrt(estimated null variance)
     k2_hat: float
 
 
-def _t1(m: SampleMoments) -> T1Stat:
-    """T1 per replication, as arrays; k2_hat <= 0 marks a degenerate one."""
-    mean = m.rows("mean")
-    raw = np.vecdot(mean, mean) - m.rows("tr1") / m.S
-    k2 = 2.0 * m.rows("tr2_hat") / (m.S * (m.S - 1))
-    return T1Stat(raw=raw, normalized=raw / np.sqrt(k2), k2_hat=k2)
-
-
 def t1_statistic(m: SampleMoments) -> T1Stat:
-    """Trace-centered squared mean norm, plus its variance-normalized form,
-    of a one-sample moments object.
+    """Trace-centered squared mean norm, plus its variance-normalized form.
 
     raw equals the pairwise U-statistic [S(S-1)]^-1 sum_{i!=j} phi_i' phi_j
     identically; the centering tr(cov)/S makes its null expectation zero.
     """
     with np.errstate(all="ignore"):
-        t1 = _t1(m)
-    if t1.k2_hat[0] <= 0.0:
+        raw, normalized, k2 = _one_sample(m).t1
+    if k2 <= 0.0:
         raise DegenerateVariance("estimated null variance is not positive")
-    return T1Stat(*(float(v[0]) for v in (t1.raw, t1.normalized, t1.k2_hat)))
+    return T1Stat(raw=float(raw), normalized=float(normalized), k2_hat=float(k2))
 
 
 @dataclass
 class ChiSqApprox:
-    """Parameters of the matched reference beta0 + beta1 * chisq(d), of one
-    sample; the kernels hold each field as an array over R."""
+    """Parameters of the matched reference beta0 + beta1 * chisq(d)."""
 
     beta0: float
     beta1: float
@@ -172,52 +169,55 @@ class ChiSqApprox:
     normal_fallback: bool = False
 
 
-def _chi_sq(m: SampleMoments, k2: np.ndarray) -> tuple[ChiSqApprox, np.ndarray]:
-    """The cumulant match per replication, as arrays, and where its powers
-    left the float range (the match is then undefined)."""
+def _chi_sq(m: SampleMoments, k2) -> tuple[dict, object]:
+    """The ChiSqApprox fields d, k2_hat, k3_hat and normal_fallback per
+    sample, and where the match's powers left the float range (it is then
+    undefined). beta0 and beta1 only go into reports: _approx computes them."""
     S = m.S
-    k3 = 8.0 * (S - 2) * m.rows("tr3_hat") / (S**2 * (S - 1) ** 2)
+    k3 = 8.0 * (S - 2) * m.tr3_hat / (S**2 * (S - 1) ** 2)
     fallback = k3 == 0.0
-    (k2_sq, over_sq), (k2_cubed, over_cubed), (k3_sq, over_k3) = (
-        _pow(k2, 2), _pow(k2, 3), _pow(k3, 2)
-    )
-    beta0 = -2.0 * k2_sq / k3
-    beta1 = k3 / (4.0 * k2)
+    # k2**2 in beta0 overflows only where k2**3 does
+    (k2_cubed, over_cubed), (k3_sq, over_k3) = _pow(k2, 3), _pow(k3, 2)
     d = 8.0 * k2_cubed / k3_sq
-    if fallback.any():
-        beta0[fallback] = beta1[fallback] = math.nan
-        d[fallback] = math.inf
-    out_of_range = ~fallback & (over_sq | over_cubed | over_k3 | (k3_sq == 0.0))
-    return ChiSqApprox(beta0, beta1, d, k2, k3, fallback), out_of_range
+    if np.count_nonzero(fallback):
+        d = np.where(fallback, math.inf, d)
+    out_of_range = k3_sq == 0.0
+    for over in (over_cubed, over_k3):
+        if over is not None:
+            out_of_range = out_of_range | over
+    approx = {"d": d, "k2_hat": k2, "k3_hat": k3, "normal_fallback": fallback}
+    return approx, out_of_range & ~fallback
+
+
+def _approx(approx: dict, r=()) -> ChiSqApprox:
+    """Sample r's ChiSqApprox, where its match is in the float range."""
+    k2, k3 = float(approx["k2_hat"][r]), float(approx["k3_hat"][r])
+    beta0 = beta1 = math.nan
+    if k3 != 0.0:
+        beta0, beta1 = -2.0 * k2**2 / k3, k3 / (4.0 * k2)
+    d, fallback = float(approx["d"][r]), bool(approx["normal_fallback"][r])
+    return ChiSqApprox(beta0, beta1, d, k2, k3, fallback)
 
 
 def chi_sq_approx(m: SampleMoments) -> ChiSqApprox:
-    """Match the first three null cumulants of a one-sample moments object to
-    a shifted, scaled chi-square.
+    """Match the first three null cumulants to a shifted, scaled chi-square.
 
     k3 = 0 (no estimated skewness) degrades to the normal reference, the
     d -> infinity limit; the fallback is recorded on the result.
     """
     with np.errstate(all="ignore"):
-        k2 = _t1(m).k2_hat
+        k2 = _one_sample(m).t1[2]
         approx, out_of_range = _chi_sq(m, k2)
-    if k2[0] <= 0.0:
+    if k2 <= 0.0:
         raise DegenerateVariance("estimated null variance is not positive")
-    if out_of_range[0]:
+    if out_of_range:
         raise OverflowError("cumulant match outside the float range")
-    return _row(approx, 0)
-
-
-def _row(stack, r: int):
-    """Row r of a dataclass whose fields are arrays over replications."""
-    return type(stack)(**{k: v[r].item() for k, v in vars(stack).items()})
+    return _approx(approx)
 
 
 @dataclass
 class T0Stat:
-    """Screening sum of studentized squared means above the sparse cutoff, of
-    one sample; the kernels hold value and n_screened as arrays over R and
-    skipped as an R x K mask."""
+    """Screening sum of studentized squared means above the sparse cutoff."""
 
     value: float
     delta: float
@@ -226,42 +226,38 @@ class T0Stat:
     skipped: tuple[int, ...]  # zero-variance coordinates left out
 
 
-def _t0(m: SampleMoments) -> T0Stat:
-    """T0 per replication: value and n_screened are arrays, skipped is the
-    mask of zero-variance coordinates."""
+def _t0(m: SampleMoments) -> dict:
+    """The T0Stat fields per sample, with in place of skipped the mask of
+    positive-variance coordinates (shaped like mean)."""
     if m.S <= math.e:
         raise SampleTooSmall("screening cutoff needs S >= 3")
     # ln K floored at ln 2: at K = 1 the literal cutoff would be zero and the
     # screen would fire on any data, destroying the null calibration.
     delta = math.log(math.log(m.S)) ** 2 * math.log(max(m.K, 2))
     cutoff = 9.0 * delta
-    diag = m.rows("diag")
-    positive = diag > 0.0
-    h = np.where(positive, m.S * m.rows("mean") ** 2 / diag, 0.0)
+    positive = m.diag > 0.0
+    h = m.S * m.mean**2 / m.diag
     fired = positive & (h >= cutoff)
-    total = np.zeros(m.R)
-    for r in np.flatnonzero(fired.any(axis=1)):
+    n_screened = fired.sum(axis=-1)
+    total = np.zeros(n_screened.shape)
+    if np.count_nonzero(n_screened):
         # summed over the fired coordinates alone, as numpy pairs them
-        total[r] = h[r, fired[r]].sum()
-    return T0Stat(
-        value=math.sqrt(m.K) * total,
-        delta=delta,
-        cutoff=cutoff,
-        n_screened=fired.sum(axis=1),
-        skipped=~positive,
-    )
+        rows, fired_rows, sums = h.reshape(-1, m.K), fired.reshape(-1, m.K), total.reshape(-1)
+        for r in np.flatnonzero(n_screened):
+            sums[r] = rows[r, fired_rows[r]].sum()
+    return {"value": math.sqrt(m.K) * total, "delta": delta, "cutoff": cutoff,
+            "n_screened": n_screened, "positive": positive}
 
 
 def t0_statistic(m: SampleMoments) -> T0Stat:
-    """T0 of a one-sample moments object."""
     with np.errstate(all="ignore"):
-        t0 = _t0(m)
+        t0 = _t0(_one_sample(m))
     return T0Stat(
-        value=float(t0.value[0]),
-        delta=t0.delta,
-        cutoff=t0.cutoff,
-        n_screened=int(t0.n_screened[0]),
-        skipped=tuple(np.flatnonzero(t0.skipped[0]).tolist()),
+        value=float(t0["value"]),
+        delta=t0["delta"],
+        cutoff=t0["cutoff"],
+        n_screened=int(t0["n_screened"]),
+        skipped=tuple(np.flatnonzero(~t0["positive"]).tolist()),
     )
 
 
@@ -284,11 +280,13 @@ class TestReport:
 
 @dataclass
 class Outcomes:
-    """One test on R stacked samples: entry r of each array is sample r.
+    """One test on a sample, or on each sample of a stack: entry r of each
+    array is sample r (for one sample the entries are numpy scalars).
 
-    degenerate holds a tag (None where the test ran) and reason its message;
-    ran is where degenerate is None. extra holds the test's other per-sample arrays, which report_fields turns
-    into the components, approx and details of row r's TestReport.
+    flag is 0 where the test ran, and i where it did not for the reason
+    flags[i - 1] = (tag, reason). extra holds the test's other per-sample
+    values, from which fields builds the components, approx and details of a
+    TestReport.
     """
 
     test: str
@@ -297,19 +295,18 @@ class Outcomes:
     critical_value: np.ndarray
     p_value: np.ndarray
     reject: np.ndarray
-    degenerate: np.ndarray
-    reason: np.ndarray
-    ran: np.ndarray
+    flag: np.ndarray
+    flags: tuple[tuple[str, str], ...]
     extra: dict
-    report_fields: Callable[[dict, int], dict]
+    fields: Callable[[dict, object], dict] | None
 
-    def report(self, r: int) -> TestReport:
-        if self.degenerate[r] is not None:
+    def report(self, r=()) -> TestReport:
+        """The report on sample r of a stack, or on the one sample."""
+        code = int(self.flag[r])
+        if code:
+            tag, reason = self.flags[code - 1]
             return TestReport(
-                test=self.test,
-                alpha=self.alpha,
-                degenerate=self.degenerate[r],
-                details={"reason": self.reason[r]},
+                test=self.test, alpha=self.alpha, degenerate=tag, details={"reason": reason}
             )
         return TestReport(
             test=self.test,
@@ -318,33 +315,29 @@ class Outcomes:
             critical_value=float(self.critical_value[r]),
             p_value=float(self.p_value[r]),
             reject=bool(self.reject[r]),
-            **self.report_fields(self.extra, r),
+            **self.fields(self.extra, r),
         )
 
 
-def _outcomes(test, alpha, stat, crit, p, flags, extra, report_fields) -> Outcomes:
-    """Outcomes whose degenerate tags follow `flags`, a list of (mask, tag,
-    reason) in falling precedence. A sample none of them flags is tagged
-    FloatRange if its statistic or p-value is not finite: the cumulants are
-    degree 4 and 6 in the attributions, so magnitudes beyond about 1e25
-    overflow them and below about 1e-27 underflow them."""
-    R = len(stat)
-    degenerate = np.full(R, None, dtype=object)
-    reason = np.full(R, None, dtype=object)
-    flags = [*flags, (~(np.isfinite(stat) & np.isfinite(p)), "FloatRange",
-                      "non-finite statistic or p-value")]
-    for mask, tag, why in reversed(flags):
-        if mask.any():
-            degenerate[mask] = tag
-            reason[mask] = why
-    ran = np.equal(degenerate, None)
-    return Outcomes(
-        test, alpha, stat, crit, p, stat >= crit, degenerate, reason, ran, extra, report_fields
-    )
+def _outcomes(test, alpha, stat, crit, p, masks, reasons, extra=None, fields=None) -> Outcomes:
+    """Outcomes whose degenerate samples follow `masks`, in falling
+    precedence, with the (tag, reason) pairs `reasons`. A sample none of
+    them flags is tagged FloatRange if its statistic or p-value is not
+    finite: the cumulants are degree 4 and 6 in the attributions, so
+    magnitudes beyond about 1e25 overflow them and below about 1e-27
+    underflow them."""
+    # p is a probability where it is finite, so stat + p is finite exactly
+    # where both are
+    masks = (*masks, ~np.isfinite(stat + p))
+    flag = np.zeros(stat.shape, dtype=np.intp)
+    for i in range(len(masks), 0, -1):
+        flag[masks[i - 1]] = i
+    reasons = (*reasons, ("FloatRange", "non-finite statistic or p-value"))
+    return Outcomes(test, alpha, stat, crit, p, stat >= crit, flag, reasons, extra, fields)
 
 
 def _gs_outcomes(m: SampleMoments, alpha: float) -> Outcomes:
-    """Screened, trace-normalized GS on every sample of a moments object.
+    """Screened, trace-normalized GS per sample.
 
     With k2 known, the matched null law of the normalized U-statistic T is
     (chi2_d - d)/sqrt(2 d), so 1 + sqrt(2/d) T ~ chi2_d / d. But T divides by
@@ -364,41 +357,42 @@ def _gs_outcomes(m: SampleMoments, alpha: float) -> Outcomes:
     reference is used. The critical value and p-value are mapped back to the
     T scale, so reject <=> statistic >= critical_value.
     """
-    t1 = _t1(m)
-    approx, out_of_range = _chi_sq(m, t1.k2_hat)
+    raw, normalized, k2 = m.t1
+    approx, out_of_range = _chi_sq(m, k2)
     t0 = _t0(m)
-    stat = t0.value + t1.normalized
-    d = approx.d
+    stat = t0["value"] + normalized
+    d = approx["d"]
     dfd = (m.S - 1) * d
     f_crit = special.fdtri(d, dfd, 1.0 - alpha)
     crit = (f_crit - 1.0) * np.sqrt(d / 2.0)
     p = special.fdtrc(d, dfd, np.maximum(1.0 + np.sqrt(2.0 / d) * stat, 0.0))
-    normal = approx.normal_fallback = approx.normal_fallback | ~np.isfinite(f_crit)
-    if normal.any():
-        crit[normal] = -special.ndtri(alpha)
-        p[normal] = special.ndtr(-stat[normal])
-    flags = [
-        (t1.k2_hat <= 0.0, "DegenerateVariance", "estimated null variance is not positive"),
-        (out_of_range, "FloatRange", "cumulant match outside the float range"),
-    ]
-    extra = {"t0": t0, "t1": t1, "approx": approx}
-    return _outcomes("gs", alpha, stat, crit, p, flags, extra, _gs_fields)
+    normal = approx["normal_fallback"] = approx["normal_fallback"] | ~np.isfinite(f_crit)
+    if np.count_nonzero(normal):
+        crit = np.where(normal, -special.ndtri(alpha), crit)
+        p = np.where(normal, special.ndtr(-stat), p)
+    extra = {"t0": t0, "t1_raw": raw, "t1_normalized": normalized, "approx": approx}
+    masks = (k2 <= 0.0, out_of_range)
+    reasons = (
+        ("DegenerateVariance", "estimated null variance is not positive"),
+        ("FloatRange", "cumulant match outside the float range"),
+    )
+    return _outcomes("gs", alpha, stat, crit, p, masks, reasons, extra, _gs_fields)
 
 
-def _gs_fields(x: dict, r: int) -> dict:
-    approx = _row(x["approx"], r)
+def _gs_fields(x: dict, r) -> dict:
+    approx = _approx(x["approx"], r)
     t0 = x["t0"]
     details = {
-        "t1_raw": float(x["t1"].raw[r]),
-        "screen_cutoff": t0.cutoff,
-        "n_screened": int(t0.n_screened[r]),
+        "t1_raw": float(x["t1_raw"][r]),
+        "screen_cutoff": t0["cutoff"],
+        "n_screened": int(t0["n_screened"][r]),
     }
-    skipped = tuple(np.flatnonzero(t0.skipped[r]).tolist())
+    skipped = tuple(np.flatnonzero(~t0["positive"][r]).tolist())
     if skipped:
         details["skipped_coordinates"] = skipped
     if approx.normal_fallback:
         details["normal_fallback"] = True
-    components = {"t0": float(t0.value[r]), "t1_normalized": float(x["t1"].normalized[r])}
+    components = {"t0": float(t0["value"][r]), "t1_normalized": float(x["t1_normalized"][r])}
     return {"components": components, "approx": approx, "details": details}
 
 
@@ -415,40 +409,38 @@ def gs_test(phi, alpha: float = 0.05) -> TestReport:
 
 
 def _wald_outcomes(m: SampleMoments, alpha: float) -> Outcomes:
-    """Hotelling/Wald on every sample of a moments object.
+    """Hotelling/Wald per sample.
 
     The reported statistic is mean' cov^-1 mean / sqrt(S); the decision uses
     the exact Hotelling F calibration of S * mean' cov^-1 mean, mapped back
     to the statistic scale so reject <=> statistic >= critical_value.
     """
-    S, K, R = m.S, m.K, m.R
+    S, K, lead = m.S, m.K, m.mean.shape[:-1]
     if K >= S:
-        nan = np.full(R, math.nan)
-        flags = [(np.ones(R, dtype=bool), "SingularCovariance", f"K={K} >= S={S}")]
-        return _outcomes("wald", alpha, nan, nan, nan, flags, {}, None)
-    cov = m.rows("cov")
-    singular = np.zeros(R, dtype=bool)
+        nan = np.full(lead, math.nan)
+        reasons = (("SingularCovariance", f"K={K} >= S={S}"),)
+        return _outcomes("wald", alpha, nan, nan, nan, (np.ones(lead, dtype=bool),), reasons)
+    singular = np.zeros(lead, dtype=bool)
     try:
-        chol = np.linalg.cholesky(cov)
+        chol = np.linalg.cholesky(m.cov)
     except np.linalg.LinAlgError:  # some sample's covariance: find which
-        chol = np.full_like(cov, math.nan)
-        for r in range(R):
+        chol = np.full_like(m.cov, math.nan)
+        for r in np.ndindex(lead):
             try:
-                chol[r] = np.linalg.cholesky(cov[r])
+                chol[r] = np.linalg.cholesky(m.cov[r])
             except np.linalg.LinAlgError:
                 singular[r] = True
-    dl = np.diagonal(chol, axis1=1, axis2=2)
-    ill = _pow(dl.min(axis=1) / dl.max(axis=1), 2)[0] < WALD_MIN_RCOND
-    mean = m.rows("mean")
-    z = np.full((R, K), math.nan)
-    for r in np.flatnonzero(~(singular | ill)):
-        # the LAPACK call and layout of scipy.linalg.solve_triangular: a
-        # C-ordered lower factor is solved as its F-ordered transpose
-        c = chol[r]
-        if c.flags.f_contiguous:
-            z[r] = linalg.lapack.dtrtrs(c, mean[r], lower=1, trans=0)[0]
-        else:
-            z[r] = linalg.lapack.dtrtrs(c.T, mean[r], lower=0, trans=1)[0]
+    dl = np.diagonal(chol, axis1=-2, axis2=-1)
+    ill = _pow(np.minimum.reduce(dl, axis=-1) / np.maximum.reduce(dl, axis=-1), 2)[0]
+    ill = ill < WALD_MIN_RCOND
+    z = np.full(m.mean.shape, math.nan)
+    zs, factors, means = z.reshape(-1, K), chol.reshape(-1, K, K), m.mean.reshape(-1, K)
+    for r, solvable in enumerate(np.ravel(~(singular | ill)).tolist()):
+        if solvable:
+            # the LAPACK call of scipy.linalg.solve_triangular on a C-ordered
+            # lower factor: its transpose is an F-ordered upper one, solved
+            # transposed
+            zs[r] = linalg.lapack.dtrtrs(factors[r].T, means[r], lower=0, trans=1)[0]
     quad = np.vecdot(z, z)
     stat = quad / math.sqrt(S)
     t2 = S * quad
@@ -456,16 +448,16 @@ def _wald_outcomes(m: SampleMoments, alpha: float) -> Outcomes:
     dfn, dfd = K, S - K
     p = special.fdtrc(dfn, dfd, f_stat)
     f_crit = float(special.fdtri(dfn, dfd, 1.0 - alpha))
-    crit = np.full(R, f_crit * K * (S - 1) / ((S - K) * S**1.5))
-    flags = [
-        (singular, "SingularCovariance", "covariance not positive definite"),
-        (ill, "SingularCovariance", "covariance condition number too large"),
-    ]
+    crit = np.full(lead, f_crit * K * (S - 1) / ((S - K) * S**1.5))
     extra = {"hotelling_t2": t2, "f_statistic": f_stat, "df": (dfn, dfd)}
-    return _outcomes("wald", alpha, stat, crit, p, flags, extra, _wald_fields)
+    reasons = (
+        ("SingularCovariance", "covariance not positive definite"),
+        ("SingularCovariance", "covariance condition number too large"),
+    )
+    return _outcomes("wald", alpha, stat, crit, p, (singular, ill), reasons, extra, _wald_fields)
 
 
-def _wald_fields(x: dict, r: int) -> dict:
+def _wald_fields(x: dict, r) -> dict:
     details = {
         "hotelling_t2": float(x["hotelling_t2"][r]),
         "f_statistic": float(x["f_statistic"][r]),
@@ -484,16 +476,15 @@ def wald_test(phi, alpha: float = 0.05) -> TestReport:
 
 
 def _cq_outcomes(m: SampleMoments, alpha: float) -> Outcomes:
-    """CQ on every sample of a moments object."""
-    t1 = _t1(m)
-    stat = t1.normalized
-    crit = np.full(m.R, -special.ndtri(alpha))
+    """CQ per sample."""
+    raw, stat, k2 = m.t1
+    crit = np.full(stat.shape, -special.ndtri(alpha))
     p = special.ndtr(-stat)
-    flags = [(t1.k2_hat <= 0.0, "DegenerateVariance", "estimated null variance is not positive")]
-    return _outcomes("cq", alpha, stat, crit, p, flags, {"u": t1.raw}, _cq_fields)
+    reasons = (("DegenerateVariance", "estimated null variance is not positive"),)
+    return _outcomes("cq", alpha, stat, crit, p, (k2 <= 0.0,), reasons, {"u": raw}, _cq_fields)
 
 
-def _cq_fields(x: dict, r: int) -> dict:
+def _cq_fields(x: dict, r) -> dict:
     return {"details": {"u_statistic": float(x["u"][r])}}
 
 
@@ -507,7 +498,7 @@ TESTS = {"gs": _gs_outcomes, "wald": _wald_outcomes, "cq": _cq_outcomes}
 
 
 def outcomes_from_moments(m: SampleMoments, alpha: float, tests) -> list[Outcomes]:
-    """Several tests on every sample of one moments object."""
+    """Several tests on one moments object, of one sample or of a stack."""
     unknown = [t for t in tests if t not in TESTS]
     if unknown:
         raise ValueError(f"unknown tests: {unknown}; choose from {sorted(TESTS)}")
@@ -517,21 +508,8 @@ def outcomes_from_moments(m: SampleMoments, alpha: float, tests) -> list[Outcome
 
 
 def run_tests_from_moments(m: SampleMoments, alpha: float, tests) -> list[TestReport]:
-    """Reports of several tests on a one-sample moments object."""
-    return [o.report(0) for o in outcomes_from_moments(m, alpha, tests)]
-
-
-# The report of one test on a one-sample moments object.
-def _gs_from_moments(m: SampleMoments, alpha: float) -> TestReport:
-    return run_tests_from_moments(m, alpha, ("gs",))[0]
-
-
-def _wald_from_moments(m: SampleMoments, alpha: float) -> TestReport:
-    return run_tests_from_moments(m, alpha, ("wald",))[0]
-
-
-def _cq_from_moments(m: SampleMoments, alpha: float) -> TestReport:
-    return run_tests_from_moments(m, alpha, ("cq",))[0]
+    """Reports of several tests on the moments of one sample."""
+    return [o.report() for o in outcomes_from_moments(_one_sample(m), alpha, tests)]
 
 
 def group_joint_test(

@@ -129,13 +129,16 @@ def generate(spec: SimSpec, replication_index: int, stop: int | None = None) -> 
     """Replication `replication_index` of a cell, a deterministic function of
     (spec.seed, replication_index). Given `stop`, the block of replications
     replication_index .. stop - 1 as an R x S x K stack."""
-    indices = range(replication_index, replication_index + 1 if stop is None else stop)
-    z = np.empty((len(indices), spec.S, spec.K))
-    for i, r in enumerate(indices):
-        z[i] = draw_z(spec.model, spec.S, spec.K, replication_rng(spec.seed, r))
+    if stop is None:
+        z = draw_z(spec.model, spec.S, spec.K, replication_rng(spec.seed, replication_index))
+    else:
+        z = np.stack([
+            draw_z(spec.model, spec.S, spec.K, replication_rng(spec.seed, r))
+            for r in range(replication_index, stop)
+        ])
     mu = alternative_mu(spec.alternative, spec.K, spec.S)
     phi = mu + _apply_root(z, spec.K, spec.rho, spec.sigma2)
-    return FactorSample(phi=phi[0] if stop is None else phi, mu=mu, spec=spec)
+    return FactorSample(phi=phi, mu=mu, spec=spec)
 
 
 def read_simspec_file(path) -> dict:

@@ -12,9 +12,6 @@ from scipy import stats
 from groupshap.errors import DegenerateVariance, SampleTooSmall, ShapeError
 from groupshap.inference import (
     SampleMoments,
-    _cq_from_moments,
-    _gs_from_moments,
-    _wald_from_moments,
     chi_sq_approx,
     cq_test,
     group_joint_test,
@@ -268,7 +265,7 @@ def test_gs_formula_reference_point():
         m = _synthetic_moments(
             S, 4, tr2_hat=S * (S - 1), tr3_hat=S**2 * (S - 1) ** 2 / (S - 2), tr1=0.0
         )
-        rep = _gs_from_moments(m, alpha=0.05)
+        rep = run_tests_from_moments(m, 0.05, ("gs",))[0]
         assert rep.approx.d == pytest.approx(1.0, rel=1e-12)
         assert rep.statistic == pytest.approx(0.0, abs=1e-15)
         assert rep.p_value == pytest.approx(p_ref, abs=5e-5)
@@ -284,7 +281,7 @@ def test_gs_falls_back_to_normal_when_f_quantile_is_not_finite():
         S, K, tr2_hat=S * (S - 1), tr3_hat=1e-9 * S**2 * (S - 1) ** 2 / (S - 2),
         mean=np.full(K, math.sqrt(2.0 * math.sqrt(2.0) / K)),
     )
-    rep = _gs_from_moments(m, alpha=0.05)
+    rep = run_tests_from_moments(m, 0.05, ("gs",))[0]
     assert rep.approx.d == pytest.approx(1e18, rel=1e-9)
     assert rep.approx.normal_fallback and rep.details["normal_fallback"]
     assert rep.statistic == pytest.approx(2.0, rel=1e-12)
@@ -392,7 +389,7 @@ def test_gs_calibration_equals_scipy_stats_bit_for_bit():
             mean=rng.normal(scale=float(10 ** rng.uniform(-2, 0.5)), size=K),
             tr1=float(rng.uniform(0.0, 3.0 * K)),
         )
-        rep = _gs_from_moments(m, alpha)
+        rep = run_tests_from_moments(m, alpha, ("gs",))[0]
         d_hat, dfd = rep.approx.d, (S - 1) * rep.approx.d
         assert not rep.approx.normal_fallback
         f_crit = stats.f.isf(alpha, d_hat, dfd)
@@ -409,7 +406,7 @@ def test_gs_p_value_is_one_where_f_argument_is_not_positive():
     m = _synthetic_moments(
         S, 4, tr2_hat=S * (S - 1), tr3_hat=S**2 * (S - 1) ** 2 / (S - 2), tr1=30.0
     )
-    rep = _gs_from_moments(m, alpha=0.05)
+    rep = run_tests_from_moments(m, 0.05, ("gs",))[0]
     assert 1.0 + math.sqrt(2.0 / rep.approx.d) * rep.statistic == pytest.approx(-2.0)
     assert rep.p_value == 1.0 == stats.f.sf(-2.0, 1.0, 9.0)
     assert rep.reject is False
@@ -423,13 +420,13 @@ def test_wald_and_cq_calibration_equal_scipy_stats_bit_for_bit():
         alpha = float(10 ** rng.uniform(-6, math.log10(0.5)))
         phi = rng.normal(loc=rng.normal(scale=0.5, size=K), size=(S, K))
         m = moments(phi)
-        wald = _wald_from_moments(m, alpha)
+        wald = run_tests_from_moments(m, alpha, ("wald",))[0]
         assert wald.degenerate is None
         dfn, dfd = wald.details["df"]
         assert wald.p_value == stats.f.sf(wald.details["f_statistic"], dfn, dfd)
         crit = stats.f.isf(alpha, dfn, dfd) * K * (S - 1) / ((S - K) * S**1.5)
         assert wald.critical_value == crit
-        cq = _cq_from_moments(m, alpha)
+        cq = run_tests_from_moments(m, alpha, ("cq",))[0]
         assert cq.critical_value == stats.norm.isf(alpha)
         assert cq.p_value == stats.norm.sf(cq.statistic)
 
@@ -548,8 +545,10 @@ def _assert_stack_matches_reference(stack, alpha=0.05):
     refs = [reference_run_tests(reference_moments(phi), alpha, ALL_TESTS) for phi in stack]
     for j, o in enumerate(outcomes):
         ref = [row[j] for row in refs]
-        assert list(o.degenerate) == [r.degenerate for r in ref], o.test
-        ran = o.ran
+        assert [o.report(r).degenerate for r in range(len(stack))] == [
+            r.degenerate for r in ref
+        ], o.test
+        ran = o.flag == 0
         for name in ("statistic", "critical_value", "p_value", "reject"):
             want = [getattr(r, name) for r in ref if r.degenerate is None]
             assert np.array_equal(getattr(o, name)[ran], np.array(want, dtype=float)), (o.test, name)
@@ -577,8 +576,10 @@ def test_stacked_kernel_isolates_singular_samples(rng):
     _assert_stack_matches_reference(stack)
     gs, wald, cq = outcomes_from_moments(moments(stack), 0.05, ALL_TESTS)
     singular = "SingularCovariance"
-    assert list(wald.degenerate) == [None] * 3 + [singular] * 2 + [None, singular, None, None]
-    assert gs.degenerate[6] == cq.degenerate[6] == "DegenerateVariance"
+    assert [wald.report(r).degenerate for r in range(9)] == (
+        [None] * 3 + [singular] * 2 + [None, singular, None, None]
+    )
+    assert gs.report(6).degenerate == cq.report(6).degenerate == "DegenerateVariance"
     assert wald.report(4).details["reason"] == "covariance not positive definite"
 
 
@@ -599,6 +600,19 @@ def test_stacked_products_are_exactly_symmetric(R, S, K):
     transposed = centered.transpose(0, 2, 1)
     for a in (centered @ transposed, transposed @ centered):
         assert np.array_equal(a, a.transpose(0, 2, 1))
+    for c in centered:  # one sample, as a block of one runs it
+        for a in (c @ c.T, c.T @ c):
+            assert np.array_equal(a, a.T)
     m = moments(centered)
     if m.cov is not None:
         assert np.array_equal(m.cov, m.cov.transpose(0, 2, 1))
+
+
+@pytest.mark.parametrize("fn", [gs_test, cq_test, wald_test])
+def test_one_sample_tests_reject_a_stack(fn):
+    # a stack's reports would be those of its first sample alone
+    stack = np.random.default_rng(3).normal(size=(3, 30, 4))
+    with pytest.raises(ShapeError):
+        fn(stack)
+    with pytest.raises(ShapeError):
+        run_tests_from_moments(moments(stack), 0.05, ALL_TESTS)
