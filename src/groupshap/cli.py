@@ -325,9 +325,9 @@ def _cmd_simulate(args) -> int:
         specs, tests, seed = _simulate_specs(args)
     run = run_size_grid if args.kind == "size" else run_power_grid
     result = run(specs, tests, master_seed=seed)
-    written = emit_tables(result, args.out, tests)
+    written = emit_tables(result, args.out)
     written.append(os.path.join(args.out, "diagnostics.csv"))
-    write_diagnostics_csv(result, written[-1], tests)
+    write_diagnostics_csv(result, written[-1])
     _write_run_config(args.out, args, seed=seed, outputs=written)
     for path in written:
         print(f"wrote {path}")

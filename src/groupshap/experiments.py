@@ -98,6 +98,11 @@ class GridResult:
     seed: int
     diagnostics: list[CellDiagnostics] = field(default_factory=list, compare=False)
 
+    @property
+    def tests(self) -> list[str]:
+        """The tests the grid ran, in run order."""
+        return list(dict.fromkeys(c.test for c in self.cells))
+
     def rate(self, test: str, model, K, S, rho, alternative="null") -> float | None:
         for c in self.cells:
             if (
@@ -373,23 +378,23 @@ def _column_are(result: GridResult, test: str, rho: float) -> tuple[float | None
     return are_metric(rates, result.alpha), len(rates)
 
 
-def write_are_csv(result: GridResult, path, tests=DEFAULT_TESTS) -> None:
+def write_are_csv(result: GridResult, path) -> None:
     """ARE per (test, rho); NaN where _column_are has none."""
     rhos = sorted({c.rho for c in result.cells})
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["test", "rho", "are", "n_cells"])
-        for test in tests:
+        for test in result.tests:
             for rho in rhos:
                 are, n = _column_are(result, test, rho)
                 w.writerow([test, repr(rho), "NaN" if are is None else repr(are), n])
 
 
-def format_grid_table(result: GridResult, tests=DEFAULT_TESTS) -> str:
+def format_grid_table(result: GridResult) -> str:
     """Aligned-text rendering: model/K/S rows, one column block per
     (alternative, rho), one column per test, '*' on the best cell of each
     block, and an ARE row under size tables."""
-    cells = result.cells
+    cells, tests = result.cells, result.tests
     flags = _best_flags(cells, result.alpha)
     is_size = all(c.alternative == Alternative.NULL.value for c in cells)
     blocks = sorted({(c.alternative, c.rho) for c in cells}, key=lambda b: (b[0], str(b[1])))
@@ -438,13 +443,14 @@ def _fmt_float(value: float | None) -> str:
     return "NaN" if value is None else repr(value)
 
 
-def write_diagnostics_csv(result: GridResult, path, tests=DEFAULT_TESTS) -> None:
+def write_diagnostics_csv(result: GridResult, path) -> None:
     """One row per cell: GS screen-fire and normal-fallback rates, quantiles
     of the fitted d, and a count per degenerate (test, tag) pair that occurs
     anywhere in the grid."""
+    tests = result.tests
     tags = sorted(
         {key for diag in result.diagnostics for key in diag.degenerate},
-        key=lambda key: (list(tests).index(key[0]), key[1]),
+        key=lambda key: (tests.index(key[0]), key[1]),
     )
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -472,7 +478,7 @@ def write_diagnostics_csv(result: GridResult, path, tests=DEFAULT_TESTS) -> None
             )
 
 
-def emit_tables(result: GridResult, out_dir, tests=DEFAULT_TESTS) -> list[str]:
+def emit_tables(result: GridResult, out_dir) -> list[str]:
     """Write CSV + aligned-text tables (and are.csv for size grids)."""
     os.makedirs(out_dir, exist_ok=True)
     is_size = all(c.alternative == Alternative.NULL.value for c in result.cells)
@@ -483,10 +489,10 @@ def emit_tables(result: GridResult, out_dir, tests=DEFAULT_TESTS) -> list[str]:
     written.append(csv_path)
     txt_path = os.path.join(out_dir, f"{stem}.txt")
     with open(txt_path, "w") as fh:
-        fh.write(format_grid_table(result, tests))
+        fh.write(format_grid_table(result))
     written.append(txt_path)
     if is_size:
         are_path = os.path.join(out_dir, "are.csv")
-        write_are_csv(result, are_path, tests)
+        write_are_csv(result, are_path)
         written.append(are_path)
     return written

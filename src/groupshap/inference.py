@@ -10,6 +10,10 @@ moments, so one moments pass feeds every test. Moments and tests take an
 R x S x K stack of samples as well as one S x K sample: every per-sample
 quantity then gains a leading axis of length R, so a block of Monte Carlo
 replications is one pass, and one sample's quantities are numpy scalars.
+
+A test is tagged FloatRange, not run, where a quantity it uses has left the
+normal float range (see moments); for unit-spread attributions Wald runs from
+about 1e-153 to 1e153, CQ from 1e-77 to 1e77 and GS from 1e-25 to 1e26.
 """
 
 from __future__ import annotations
@@ -78,26 +82,24 @@ def _as_phi(phi, stacked: bool = False) -> np.ndarray:
 
 def _pow(x, n: int):
     """x**n element by element with Python's float power, which calls the C
-    library's pow (numpy's power rounds differently in the last bit), and the
-    mask of where it overflowed, which Python reports by raising (None where
-    nothing did)."""
+    library's pow (numpy's power rounds differently in the last bit); inf
+    where it overflows, which Python reports by raising."""
+
+    def power(v):
+        try:
+            return v**n
+        except OverflowError:
+            return math.inf
+
     if not isinstance(x, np.ndarray) or x.ndim == 0:
-        try:
-            return np.float64(float(x) ** n), None
-        except OverflowError:
-            return np.float64(math.inf), np.True_
-    try:
-        return np.array([v**n for v in x.tolist()]), None
-    except OverflowError:
-        pass
-    out = np.empty(len(x))
-    overflowed = np.zeros(len(x), dtype=bool)
-    for i, v in enumerate(x.tolist()):
-        try:
-            out[i] = v**n
-        except OverflowError:
-            out[i], overflowed[i] = math.inf, True
-    return out, overflowed
+        return np.float64(power(float(x)))
+    return np.array([power(v) for v in x.tolist()])
+
+
+def _normal(x):
+    """Where x, zero or positive, is a normal float: at least finfo.tiny and
+    finite (False at nan)."""
+    return (x >= np.finfo(float).tiny) & (x <= np.finfo(float).max)
 
 
 def moments(phi) -> SampleMoments:
@@ -105,35 +107,45 @@ def moments(phi) -> SampleMoments:
     an S x K sample, or of each sample of an R x S x K stack.
 
     The tr(Sigma^3) estimator's constant has roots at S=3, hence S >= 4.
+    A quantity whose inputs left the normal float range is nan: a variance
+    rounded to 0 from nonzero terms, and tr2_hat or tr3_hat where one of the
+    degree-4 or degree-6 terms behind it is inf, below finfo.tiny or rounded
+    to 0, unless the sample is constant (then they are exactly 0).
     """
     phi = _as_phi(phi, stacked=True)
     *lead, S, K = phi.shape
     if S <= 3:
         raise SampleTooSmall(f"need S >= 4 observations, got {S}")
-    mean = phi.mean(axis=-2)
-    centered = phi - mean[..., None, :]
-    diag = (centered * centered).sum(axis=-2) / (S - 1)
-    # traces on the smaller of the S x S Gram and the K x K covariance matrix:
-    # both have the same nonzero spectrum
-    gram = S <= K
-    transposed = centered.swapaxes(-1, -2)
-    # both products go to BLAS syrk, which fills one triangle and mirrors it,
-    # so a is exactly symmetric
-    a = (centered @ transposed if gram else transposed @ centered) / (S - 1)
-    tr1 = np.trace(a, axis1=-2, axis2=-1)
-    t2 = (a * a).reshape(*lead, -1).sum(axis=-1)
-    t3 = ((a @ a) * a).reshape(*lead, -1).sum(axis=-1)
-    tr1_sq = _pow(tr1, 2)[0]
-    tr1_cubed, lost = _pow(tr1, 3)
-    with np.errstate(all="ignore"):  # inf - inf beyond the float range
+    with np.errstate(all="ignore"):  # overflow and inf - inf beyond the float range
+        mean = phi.mean(axis=-2)
+        centered = phi - mean[..., None, :]
+        diag = (centered * centered).sum(axis=-2) / (S - 1)
+        zero = diag == 0.0
+        if np.count_nonzero(zero):  # a constant column, or squares that underflowed
+            diag = np.where(zero & (centered != 0.0).any(axis=-2), math.nan, diag)
+        # traces on the smaller of the S x S Gram and the K x K covariance matrix:
+        # both have the same nonzero spectrum
+        gram = S <= K
+        transposed = centered.swapaxes(-1, -2)
+        # both products go to BLAS syrk, which fills one triangle and mirrors it,
+        # so a is exactly symmetric
+        a = (centered @ transposed if gram else transposed @ centered) / (S - 1)
+        tr1 = np.trace(a, axis1=-2, axis2=-1)
+        t2 = (a * a).reshape(*lead, -1).sum(axis=-1)
+        t3 = ((a @ a) * a).reshape(*lead, -1).sum(axis=-1)
+        tr1_sq, tr1_cubed = _pow(tr1, 2), _pow(tr1, 3)
         tr2_hat = (S - 1) ** 2 / ((S - 2) * (S + 1)) * (t2 - tr1_sq / (S - 1))
         tr3_hat = (
             (S - 1) ** 4
             / ((S**2 + S - 6) * (S**2 - 2 * S - 3))
             * (t3 - 3 * tr1 * t2 / (S - 1) + 2 * tr1_cubed / (S - 1) ** 2)
         )
-    if lost is not None:  # tr1 beyond the float range when cubed: no trace estimate
-        tr2_hat, tr3_hat = np.where(lost, math.nan, tr2_hat), np.where(lost, math.nan, tr3_hat)
+    # t2 <= tr1**2 and t3 <= tr1 * t2 <= tr1**3: the least and the greatest
+    # term of each degree bound the others
+    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+    constant = (diag == 0.0).all(axis=-1)
+    tr2_hat = np.where((t2 >= tiny) & (tr1_sq <= huge) | constant, tr2_hat, math.nan)
+    tr3_hat = np.where((t3 >= tiny) & (tr1_cubed <= huge) | constant, tr3_hat, math.nan)
     return SampleMoments(mean, S, tr1, tr2_hat, tr3_hat, diag, None if gram else a)
 
 
@@ -171,22 +183,20 @@ class ChiSqApprox:
 
 def _chi_sq(m: SampleMoments, k2) -> tuple[dict, object]:
     """The ChiSqApprox fields d, k2_hat, k3_hat and normal_fallback per
-    sample, and where the match's powers left the float range (it is then
-    undefined). beta0 and beta1 only go into reports: _approx computes them."""
+    sample, and where the match's powers left the normal float range (it is
+    then undefined). beta0 and beta1 only go into reports: _approx computes
+    them."""
     S = m.S
     k3 = 8.0 * (S - 2) * m.tr3_hat / (S**2 * (S - 1) ** 2)
     fallback = k3 == 0.0
-    # k2**2 in beta0 overflows only where k2**3 does
-    (k2_cubed, over_cubed), (k3_sq, over_k3) = _pow(k2, 3), _pow(k3, 2)
-    d = 8.0 * k2_cubed / k3_sq
+    # k2**2 in beta0 is in the normal range where k2**3 is
+    k2_cubed, k3_sq = _pow(k2, 3), _pow(k3, 2)
+    # 8 * (a / b) has the bits of 8 * a / b, without 8 * a overflowing first
+    d = 8.0 * (k2_cubed / k3_sq)
     if np.count_nonzero(fallback):
         d = np.where(fallback, math.inf, d)
-    out_of_range = k3_sq == 0.0
-    for over in (over_cubed, over_k3):
-        if over is not None:
-            out_of_range = out_of_range | over
     approx = {"d": d, "k2_hat": k2, "k3_hat": k3, "normal_fallback": fallback}
-    return approx, out_of_range & ~fallback
+    return approx, ~(_normal(k2_cubed) & _normal(k3_sq) | fallback)
 
 
 def _approx(approx: dict, r=()) -> ChiSqApprox:
@@ -323,9 +333,8 @@ def _outcomes(test, alpha, stat, crit, p, masks, reasons, extra=None, fields=Non
     """Outcomes whose degenerate samples follow `masks`, in falling
     precedence, with the (tag, reason) pairs `reasons`. A sample none of
     them flags is tagged FloatRange if its statistic or p-value is not
-    finite: the cumulants are degree 4 and 6 in the attributions, so
-    magnitudes beyond about 1e25 overflow them and below about 1e-27
-    underflow them."""
+    finite, which is how a moment made nan outside the normal float range
+    (see moments) surfaces."""
     # p is a probability where it is finite, so stat + p is finite exactly
     # where both are
     masks = (*masks, ~np.isfinite(stat + p))
@@ -420,6 +429,9 @@ def _wald_outcomes(m: SampleMoments, alpha: float) -> Outcomes:
         nan = np.full(lead, math.nan)
         reasons = (("SingularCovariance", f"K={K} >= S={S}"),)
         return _outcomes("wald", alpha, nan, nan, nan, (np.ones(lead, dtype=bool),), reasons)
+    # a variance outside the normal float range, unless a constant column's 0
+    variances = np.diagonal(m.cov, axis1=-2, axis2=-1)
+    out_of_range = ~(_normal(variances) | (m.diag == 0.0)).all(axis=-1)
     singular = np.zeros(lead, dtype=bool)
     try:
         chol = np.linalg.cholesky(m.cov)
@@ -431,11 +443,11 @@ def _wald_outcomes(m: SampleMoments, alpha: float) -> Outcomes:
             except np.linalg.LinAlgError:
                 singular[r] = True
     dl = np.diagonal(chol, axis1=-2, axis2=-1)
-    ill = _pow(np.minimum.reduce(dl, axis=-1) / np.maximum.reduce(dl, axis=-1), 2)[0]
+    ill = _pow(np.minimum.reduce(dl, axis=-1) / np.maximum.reduce(dl, axis=-1), 2)
     ill = ill < WALD_MIN_RCOND
     z = np.full(m.mean.shape, math.nan)
     zs, factors, means = z.reshape(-1, K), chol.reshape(-1, K, K), m.mean.reshape(-1, K)
-    for r, solvable in enumerate(np.ravel(~(singular | ill)).tolist()):
+    for r, solvable in enumerate(np.ravel(~(out_of_range | singular | ill)).tolist()):
         if solvable:
             # the LAPACK call of scipy.linalg.solve_triangular on a C-ordered
             # lower factor: its transpose is an F-ordered upper one, solved
@@ -450,11 +462,13 @@ def _wald_outcomes(m: SampleMoments, alpha: float) -> Outcomes:
     f_crit = float(special.fdtri(dfn, dfd, 1.0 - alpha))
     crit = np.full(lead, f_crit * K * (S - 1) / ((S - K) * S**1.5))
     extra = {"hotelling_t2": t2, "f_statistic": f_stat, "df": (dfn, dfd)}
+    masks = (out_of_range, singular, ill)
     reasons = (
+        ("FloatRange", "covariance outside the float range"),
         ("SingularCovariance", "covariance not positive definite"),
         ("SingularCovariance", "covariance condition number too large"),
     )
-    return _outcomes("wald", alpha, stat, crit, p, (singular, ill), reasons, extra, _wald_fields)
+    return _outcomes("wald", alpha, stat, crit, p, masks, reasons, extra, _wald_fields)
 
 
 def _wald_fields(x: dict, r) -> dict:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoalitionBudgetExceeded, GroupingError, ShapeError
-from .tree import LEAF, Tree, TreeEnsemble, read_numeric_csv
+from .tree import LEAF, Tree, TreeEnsemble, feature_matrix, read_key_lines, read_numeric_csv
 
 # most groups a single tree may split on for exact enumeration
 EXACT_GROUP_LIMIT = 20
@@ -90,19 +90,7 @@ def read_grouping_file(path, feature_names: list[str]) -> FeatureGrouping:
     """
     index = {name: i for i, name in enumerate(feature_names)}
     groups: list[tuple[str, list[int]]] = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError:
-        raise GroupingError(f"{path}: not UTF-8 text") from None
-    for lineno, line in enumerate(lines, start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if ":" not in line:
-            raise GroupingError(f"{path}:{lineno}: expected 'name: feat, feat'")
-        name, rest = line.split(":", 1)
-        name = name.strip()
+    for lineno, name, rest in read_key_lines(path, ":", GroupingError):
         feats = [f.strip() for f in rest.split(",") if f.strip()]
         if not feats:
             raise GroupingError(f"{path}:{lineno}: group {name!r} lists no features")
@@ -191,10 +179,7 @@ def value_function(model: TreeEnsemble, x, active) -> float | np.ndarray:
     the S values, one per row). Every row goes through the same operations in
     the same order either way, so a row's value has the same bits in both.
     """
-    x = np.asarray(x, dtype=float)
-    X = np.atleast_2d(x)
-    if x.ndim not in (1, 2) or X.shape[1] != model.n_features:
-        raise ShapeError(f"expected {model.n_features} features, got shape {x.shape}")
+    X, one = feature_matrix(x, model.n_features)
     mask = np.zeros(model.n_features, dtype=bool)
     active = list(active)
     if active:
@@ -205,7 +190,7 @@ def value_function(model: TreeEnsemble, x, active) -> float | np.ndarray:
     total = np.full(X.shape[0], model.base_score)
     for t in model.trees:
         total += _marginal_tree_values(t, X, mask, t.root)
-    return float(total[0]) if x.ndim == 1 else total
+    return float(total[0]) if one else total
 
 
 def exact_group_shapley(model: TreeEnsemble, x, grouping: FeatureGrouping) -> np.ndarray:
@@ -223,10 +208,7 @@ def exact_group_shapley(model: TreeEnsemble, x, grouping: FeatureGrouping) -> np
     """
     if grouping.n_features != model.n_features:
         raise ShapeError("grouping does not match the model's feature count")
-    x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[-1] != model.n_features:
-        raise ShapeError(f"expected {model.n_features} features, got shape {x.shape}")
-    X = np.atleast_2d(x)
+    X, one = feature_matrix(x, model.n_features)
     f2g = grouping.feature_to_group()
     players = [np.unique(f2g[t.feature[t.feature != LEAF]]) for t in model.trees]
     for i, p in enumerate(players):
@@ -249,7 +231,7 @@ def exact_group_shapley(model: TreeEnsemble, x, grouping: FeatureGrouping) -> np
             coef = np.array([w[c - 1] if m else -w[c] for m in member])
             phi_t += value_function(game, X, feats)[:, None] * coef
         phi[:, p] += phi_t
-    return phi[0] if x.ndim == 1 else phi
+    return phi[0] if one else phi
 
 
 def exact_individual_shapley(model: TreeEnsemble, x) -> np.ndarray:
@@ -269,18 +251,6 @@ def base_value(model: TreeEnsemble) -> float:
     return float(model.base_score + sum(t.value[t.root] for t in model.trees))
 
 
-def _as_matrix(X, n_features: int) -> np.ndarray:
-    if isinstance(X, (list, tuple)):
-        for s, row in enumerate(X):
-            if len(row) != n_features:
-                raise ShapeError(f"row {s}: expected {n_features} features, got {len(row)}")
-        X = np.asarray(X, dtype=float)
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[1] != n_features:
-        raise ShapeError(f"expected {n_features} features, got {X.shape[1]} (row 0)")
-    return X
-
-
 def tree_group_shap(model: TreeEnsemble, X, grouping: FeatureGrouping) -> ShapMatrix:
     """Path attribution: walk each observation's decision path per tree and add
     value(child taken) - value(node) to the group owning the split feature.
@@ -290,7 +260,7 @@ def tree_group_shap(model: TreeEnsemble, X, grouping: FeatureGrouping) -> ShapMa
     """
     if grouping.n_features != model.n_features:
         raise ShapeError("grouping does not match the model's feature count")
-    X = _as_matrix(X, model.n_features)
+    X, _ = feature_matrix(X, model.n_features)
     S = X.shape[0]
     K = grouping.n_groups
     f2g = grouping.feature_to_group()

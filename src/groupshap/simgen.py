@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidCorrelation
 from .shapley import FeatureGrouping
-from .tree import Dataset
+from .tree import Dataset, read_key_lines
 
 
 class ZModel(str, enum.Enum):
@@ -129,13 +129,16 @@ def generate(spec: SimSpec, replication_index: int, stop: int | None = None) -> 
     """Replication `replication_index` of a cell, a deterministic function of
     (spec.seed, replication_index). Given `stop`, the block of replications
     replication_index .. stop - 1 as an R x S x K stack."""
-    if stop is None:
-        z = draw_z(spec.model, spec.S, spec.K, replication_rng(spec.seed, replication_index))
-    else:
-        z = np.stack([
-            draw_z(spec.model, spec.S, spec.K, replication_rng(spec.seed, r))
-            for r in range(replication_index, stop)
-        ])
+    rng = replication_rng(spec.seed, replication_index)
+    state = rng.bit_generator.state
+    z = []
+    for r in range(replication_index, replication_index + 1 if stop is None else stop):
+        # reset to replication r's fresh stream (counter 0, key (seed, r), an
+        # empty buffer): a new Philox would first seed itself from OS entropy
+        state["state"]["key"][1] = r
+        rng.bit_generator.state = state
+        z.append(draw_z(spec.model, spec.S, spec.K, rng))
+    z = z[0] if stop is None else np.stack(z)
     mu = alternative_mu(spec.alternative, spec.K, spec.S)
     phi = mu + _apply_root(z, spec.K, spec.rho, spec.sigma2)
     return FactorSample(phi=phi, mu=mu, spec=spec)
@@ -154,19 +157,8 @@ def read_simspec_file(path) -> dict:
         "seed": int,
         "alpha": float,
     }
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError:
-        raise ValueError(f"{path}: not UTF-8 text") from None
     out: dict = {}
-    for lineno, line in enumerate(lines, start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
+    for lineno, key, value in read_key_lines(path, "=", ValueError):
         key = key.lower()
         if key not in fields:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")

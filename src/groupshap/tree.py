@@ -84,24 +84,39 @@ class TreeEnsemble:
 
     def predict(self, x) -> float:
         """Prediction for a single feature vector: base_score + leaf sum."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n_features,):
-            raise ShapeError(
-                f"expected {self.n_features} features, got shape {x.shape}"
-            )
-        return float(self.predict_many(x[None])[0])
+        X, one = feature_matrix(x, self.n_features)
+        if not one:
+            raise ShapeError(f"expected one feature vector, got shape {X.shape}")
+        return float(self.predict_many(X)[0])
 
     def predict_many(self, X) -> np.ndarray:
         """Vectorized prediction over the rows of an S x F matrix."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != self.n_features:
-            raise ShapeError(
-                f"expected {self.n_features} features, got {X.shape[1]}"
-            )
+        X, _ = feature_matrix(X, self.n_features)
         out = np.full(X.shape[0], self.base_score)
         for t in self.trees:
             out += t.leaf_values(X)
         return out
+
+
+def feature_matrix(X, n_features: int) -> tuple[np.ndarray, bool]:
+    """X as an S x F float matrix, and whether X was one feature vector.
+
+    Ragged rows, a cell that is not a number, any dimension other than 1 or
+    2, a width other than n_features and a non-finite cell raise ShapeError.
+    """
+    try:
+        X = np.asarray(X, dtype=float)
+    except (TypeError, ValueError):
+        rows = X if isinstance(X, (list, tuple)) else ()
+        bad = [s for s, row in enumerate(rows)
+               if not isinstance(row, (list, tuple, np.ndarray)) or len(row) != n_features]
+        where = f"row {bad[0]}: " if bad else ""
+        raise ShapeError(f"{where}expected rows of {n_features} numbers") from None
+    if X.ndim not in (1, 2) or X.shape[-1] != n_features:
+        raise ShapeError(f"expected {n_features} features, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise ShapeError("feature matrix holds a non-finite value")
+    return np.atleast_2d(X), X.ndim == 1
 
 
 @dataclass
@@ -158,6 +173,26 @@ def read_numeric_csv(path, error, labels: int = 0) -> tuple[list[str], np.ndarra
     if not finite.all():
         raise error(f"{path}:{linenos[int(np.argmin(finite))]}: non-finite value")
     return header, cells
+
+
+def read_key_lines(path, sep: str, error):
+    """Yield ``(lineno, key, value)``, both stripped, for each ``key <sep> value``
+    line of a UTF-8 text file, skipping blank lines and text after ``#``. Bytes
+    that are not UTF-8 and a line without ``sep`` (named by file:line) raise
+    ``error``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise error(f"{path}: not UTF-8 text") from None
+    for lineno, line in enumerate(lines, start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if sep not in line:
+            raise error(f"{path}:{lineno}: expected a {sep!r} between key and value")
+        key, value = line.split(sep, 1)
+        yield lineno, key.strip(), value.strip()
 
 
 def read_csv_dataset(path, target: str | None = None) -> Dataset:

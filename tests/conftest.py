@@ -9,6 +9,7 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 import itertools
 import math
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -315,29 +316,49 @@ def reference_train_gbm(data, n_trees=100, max_depth=3, learning_rate=0.1, min_s
 # reference moments and tests: one sample at a time, in Python scalars
 
 
+def _normal(x: float) -> bool:
+    """Whether x, zero or positive, is a normal float: at least
+    sys.float_info.min and finite."""
+    return sys.float_info.min <= x <= sys.float_info.max
+
+
+def _power(x: float, n: int) -> float:
+    try:
+        return x**n
+    except OverflowError:
+        return math.inf
+
+
 def reference_moments(phi):
     """Moments of one S x K sample, as the library computed them one
-    replication at a time before the statistics were stacked."""
+    replication at a time before the statistics were stacked, with nan for a
+    variance rounded to 0 from nonzero terms, and for tr2_hat and tr3_hat
+    where a degree-4 or degree-6 term behind them is outside the normal float
+    range (unless the sample is constant)."""
     phi = np.asarray(phi, dtype=float)
     S, K = phi.shape
     mean = phi.mean(axis=0)
     centered = phi - mean
     diag = (centered * centered).sum(axis=0) / (S - 1)
+    diag[(diag == 0.0) & (centered != 0.0).any(axis=0)] = math.nan
     gram = S <= K
     a = (centered @ centered.T if gram else centered.T @ centered) / (S - 1)
     a = (a + a.T) / 2.0
     tr1 = float(np.trace(a))
     t2 = float((a * a).sum())
     t3 = float(((a @ a) * a).sum())
-    try:
-        tr2_hat = (S - 1) ** 2 / ((S - 2) * (S + 1)) * (t2 - tr1**2 / (S - 1))
+    constant = bool((diag == 0.0).all())
+    tr1_sq, tr1_cubed = _power(tr1, 2), _power(tr1, 3)
+    tr2_hat = tr3_hat = math.nan
+    # the least and the greatest term of each degree bound the others
+    if constant or t2 >= sys.float_info.min and tr1_sq <= sys.float_info.max:
+        tr2_hat = (S - 1) ** 2 / ((S - 2) * (S + 1)) * (t2 - tr1_sq / (S - 1))
+    if constant or t3 >= sys.float_info.min and tr1_cubed <= sys.float_info.max:
         tr3_hat = (
             (S - 1) ** 4
             / ((S**2 + S - 6) * (S**2 - 2 * S - 3))
-            * (t3 - 3 * tr1 * t2 / (S - 1) + 2 * tr1**3 / (S - 1) ** 2)
+            * (t3 - 3 * tr1 * t2 / (S - 1) + 2 * tr1_cubed / (S - 1) ** 2)
         )
-    except OverflowError:
-        tr2_hat = tr3_hat = math.nan
     return SimpleNamespace(
         mean=mean, S=S, K=K, tr1=tr1, tr2_hat=tr2_hat, tr3_hat=tr3_hat, diag=diag,
         cov=None if gram else a,
@@ -368,8 +389,9 @@ def _reference_gs(m, alpha):
     k3 = 8.0 * (m.S - 2) * m.tr3_hat / (m.S**2 * (m.S - 1) ** 2)
     fallback = k3 == 0.0
     if not fallback:
-        _beta0 = -2.0 * k2**2 / k3  # its power can overflow
-        d = 8.0 * k2**3 / k3**2
+        if not (_normal(_power(k2, 3)) and _normal(_power(k3, 2))):
+            raise OverflowError("cumulant match outside the normal float range")
+        d = 8.0 * (k2**3 / k3**2)
     cutoff = 9.0 * math.log(math.log(m.S)) ** 2 * math.log(max(m.K, 2))
     positive = m.diag > 0.0
     h = np.zeros(m.K)
@@ -392,6 +414,8 @@ def _reference_wald(m, alpha):
     S, K = m.S, m.K
     if K >= S:
         return _reference_outcome("wald", degenerate="SingularCovariance")
+    if not all(_normal(c) or v == 0.0 for c, v in zip(np.diag(m.cov), m.diag)):
+        return _reference_outcome("wald", degenerate="FloatRange")
     try:
         chol = np.linalg.cholesky(m.cov)
     except np.linalg.LinAlgError:

@@ -484,6 +484,20 @@ def test_cli_import_does_not_load_scipy_stats():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_attributions_beyond_the_float_range_are_degenerate_without_warnings(tmp_path):
+    # a fresh interpreter, so that numpy's warnings would reach its stderr
+    path = tmp_path / "shap.csv"
+    values = 1e200 * np.random.default_rng(3).normal(size=(30, 2))
+    ShapMatrix(values, np.zeros(30), ["a", "b"]).to_csv(path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "groupshap.cli", "test", "--shap", str(path), "--tests", "gs,wald,cq"],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "Warning" not in proc.stderr
+    assert proc.stdout.count("FloatRange") == 6
+
+
 # --------------------------------------------------------------------------
 # demo
 

@@ -1,5 +1,6 @@
 """Monte Carlo driver, ARE, concentration measures, table emission."""
 
+import csv
 import math
 
 import numpy as np
@@ -195,7 +196,7 @@ def test_diagnostics_csv_has_one_row_per_cell(tmp_path):
 
     result = run_size_grid(_tiny_size_specs(reps=40), tests=("wald", "cq", "gs"), master_seed=42)
     path = tmp_path / "diagnostics.csv"
-    write_diagnostics_csv(result, path, ("wald", "cq", "gs"))
+    write_diagnostics_csv(result, path)
     with open(path) as fh:
         rows = list(csvmod.DictReader(fh))
     assert [(r["K"], r["S"]) for r in rows] == [("5", "20"), ("30", "20")]
@@ -206,7 +207,7 @@ def test_diagnostics_csv_has_one_row_per_cell(tmp_path):
     # K = 30 >= S = 20: every Wald replication is degenerate
     assert [r["degenerate_wald_SingularCovariance"] for r in rows] == ["0", "40"]
     wald_only = run_size_grid(_tiny_size_specs(reps=10), tests=("wald",), master_seed=42)
-    write_diagnostics_csv(wald_only, path, ("wald",))
+    write_diagnostics_csv(wald_only, path)
     with open(path) as fh:
         rows = list(csvmod.DictReader(fh))
     assert rows[0]["gs_screen_fire_rate"] == rows[0]["gs_d_q50"] == "NaN"
@@ -227,7 +228,7 @@ def _hand_grid(tests, alternative, rho):
     [(("gs",), "dense", 0.3, "dense rho=0.3"), (("gs",), "null", 0.1234, "rho=0.1234")],
 )
 def test_format_grid_table_widens_a_block_to_its_label(tests, alternative, rho, label):
-    lines = format_grid_table(_hand_grid(tests, alternative, rho), tests).splitlines()
+    lines = format_grid_table(_hand_grid(tests, alternative, rho)).splitlines()
     assert label in lines[1]
     # every line but the title and the rules has its block bars in one place
     ruled = [line for line in lines[1:] if not set(line) <= {"-"}]
@@ -295,8 +296,17 @@ def test_best_flag_marks_size_closest_to_alpha(tmp_path):
 
 def test_format_grid_table_layout():
     result = run_size_grid(_tiny_size_specs(reps=20), tests=("cq", "gs"), master_seed=42)
-    text = format_grid_table(result, tests=("cq", "gs"))
+    text = format_grid_table(result)
     lines = text.splitlines()
     assert "rho=0.2" in lines[1]
     assert "cq" in lines[2] and "gs" in lines[2]
     assert lines[-1].startswith("ARE")
+
+
+def test_tables_have_only_the_tests_the_grid_ran(tmp_path):
+    result = run_size_grid(_tiny_size_specs(reps=20), tests=("cq", "gs"), master_seed=42)
+    assert result.tests == ["cq", "gs"]
+    emit_tables(result, tmp_path)
+    assert "wald" not in (tmp_path / "size_table.txt").read_text()
+    with open(tmp_path / "are.csv", newline="") as fh:
+        assert [row["test"] for row in csv.DictReader(fh)] == ["cq", "gs"]

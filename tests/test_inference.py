@@ -515,6 +515,22 @@ def test_scale_outside_the_float_range_is_degenerate_not_an_error(scale):
         assert rep.degenerate or math.isfinite(rep.statistic) and math.isfinite(rep.p_value)
 
 
+@pytest.mark.parametrize("seed,S,K", [(5, 30, 3), (1, 12, 4), (2, 50, 20), (3, 300, 5), (4, 8, 1)])
+def test_every_scale_is_degenerate_or_the_unit_scale_result(seed, S, K):
+    # all three tests are scale invariant: a report at 10^k either matches the
+    # unit-scale one or says that the sample left the float range
+    phi = np.random.default_rng(seed).normal(size=(S, K))
+    scales = 10.0 ** np.arange(-323, 308)
+    unit = run_tests_from_moments(moments(phi), 0.05, ALL_TESTS)
+    stacked = outcomes_from_moments(moments(phi * scales[:, None, None]), 0.05, ALL_TESTS)
+    for want, o in zip(unit, stacked):
+        assert want.degenerate is None and o.flag[scales == 1.0] == 0
+        for r in np.flatnonzero(o.flag == 0):
+            for name in ("statistic", "p_value"):
+                got = float(getattr(o, name)[r])
+                assert math.isclose(got, getattr(want, name), rel_tol=1e-9), (o.test, scales[r], name)
+
+
 @given(st.integers(0, 2**31 - 1))
 @settings(max_examples=25, deadline=None)
 def test_permutation_invariance(seed):

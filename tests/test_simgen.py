@@ -103,17 +103,19 @@ def test_generate_matches_matrix_root_application():
 
 @pytest.mark.parametrize("model", ["normal", "symmetric", "skewed"])
 def test_block_rows_are_the_single_replications(model):
-    # a replication's draws do not depend on the block it is generated in
-    spec = SimSpec(model=model, K=6, S=15, rho=0.3, alternative="dense", seed=4)
-    block = generate(spec, 3, 10)
-    assert block.phi.shape == (7, 15, 6)
-    for i in range(7):
-        z = draw_z(spec.model, spec.S, spec.K, replication_rng(spec.seed, 3 + i))
-        s_small = math.sqrt(spec.sigma2 * (1.0 - spec.rho))
-        s_big = math.sqrt(spec.sigma2 * (1.0 - spec.rho + spec.rho * spec.K))
-        one = block.mu + (s_small * z + (s_big - s_small) / spec.K * z.sum(axis=1, keepdims=True))
-        assert np.array_equal(block.phi[i], one)
-        assert np.array_equal(block.phi[i], generate(spec, 3 + i).phi)
+    # a replication's draws do not depend on the block it is generated in; a
+    # block resets one generator per replication, for any 64-bit seed
+    for seed in (4, 2**63 + 7, 2**64 - 1):
+        spec = SimSpec(model=model, K=6, S=15, rho=0.3, alternative="dense", seed=seed)
+        block = generate(spec, 3, 10)
+        assert block.phi.shape == (7, 15, 6)
+        for i in range(7):
+            z = draw_z(spec.model, spec.S, spec.K, replication_rng(spec.seed, 3 + i))
+            s_small = math.sqrt(spec.sigma2 * (1.0 - spec.rho))
+            s_big = math.sqrt(spec.sigma2 * (1.0 - spec.rho + spec.rho * spec.K))
+            one = block.mu + (s_small * z + (s_big - s_small) / spec.K * z.sum(axis=1, keepdims=True))
+            assert np.array_equal(block.phi[i], one)
+            assert np.array_equal(block.phi[i], generate(spec, 3 + i).phi)
 
 
 def test_generate_null_column_means_near_zero():

@@ -8,12 +8,21 @@ import numpy as np
 import pytest
 
 from groupshap.errors import (
+    GroupingError,
     ModelInvariantError,
     ModelParseError,
     ShapeError,
     TargetRequired,
 )
-from groupshap.shapley import read_shap_csv
+from groupshap.shapley import (
+    FeatureGrouping,
+    exact_group_shapley,
+    read_grouping_file,
+    read_shap_csv,
+    tree_group_shap,
+    value_function,
+)
+from groupshap.simgen import read_simspec_file
 from groupshap.tree import (
     LEAF,
     DataError,
@@ -150,6 +159,32 @@ def test_predict_is_deterministic_and_shape_checked(rng):
         model.predict(x[:3])
     with pytest.raises(ShapeError):
         model.predict_many(rng.uniform(size=(5, 3)))
+
+
+_GROUPING = FeatureGrouping.singletons(3)
+# every entry point that takes a feature matrix, and each kind of bad matrix
+_MATRIX_ENTRY_POINTS = {
+    "predict": lambda m, X: m.predict(X),
+    "predict_many": lambda m, X: m.predict_many(X),
+    "value_function": lambda m, X: value_function(m, X, [0, 2]),
+    "exact_group_shapley": lambda m, X: exact_group_shapley(m, X, _GROUPING),
+    "tree_group_shap": lambda m, X: tree_group_shap(m, X, _GROUPING),
+}
+_BAD_MATRICES = {
+    "ragged": [[0.1, 0.2, 0.3], [0.4, 0.5]],
+    "3-D": np.zeros((2, 3, 3)),
+    "wrong width": np.zeros((2, 4)),
+    "nan": [0.1, math.nan, 0.3],
+    "inf": [0.1, 0.2, -math.inf],
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_MATRIX_ENTRY_POINTS))
+@pytest.mark.parametrize("bad", sorted(_BAD_MATRICES))
+def test_every_feature_matrix_entry_point_rejects_bad_matrices(rng, entry, bad):
+    model = random_ensemble(rng, 3, 4, 3)
+    with pytest.raises(ShapeError):
+        _MATRIX_ENTRY_POINTS[entry](model, _BAD_MATRICES[bad])
 
 
 def test_missing_target_raises():
@@ -408,3 +443,26 @@ def test_csv_readers_reject_files_without_rows(tmp_path, reader, text, reason):
     with pytest.raises(error) as exc:
         read(path)
     assert str(exc.value) == f"{path}{reason}"
+
+
+# Both key-value readers parse through read_key_lines, so a line gets the same
+# verdict and the same message from each.
+_KEY_READERS = {
+    "grouping": (":", lambda path: read_grouping_file(path, ["a"]), GroupingError),
+    "simspec": ("=", read_simspec_file, ValueError),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_KEY_READERS))
+@pytest.mark.parametrize(
+    "text, reason",
+    [(b"# only a comment\n\nnothing here\n", ":3: expected a {sep!r} between key and value"),
+     (b"\xff\n", ": not UTF-8 text")],
+)
+def test_key_line_readers_reject_the_same_lines(tmp_path, reader, text, reason):
+    sep, read, error = _KEY_READERS[reader]
+    path = tmp_path / "t.txt"
+    path.write_bytes(text)
+    with pytest.raises(error) as exc:
+        read(path)
+    assert str(exc.value) == f"{path}{reason.format(sep=sep)}"
