@@ -140,6 +140,8 @@ def _checked_tests(text: str, alpha: float) -> tuple[str, ...]:
     tests = tuple(_csv_list(text))
     if not tests or not set(tests) <= set(TESTS):
         raise _UsageError(f"--tests {text!r}: choose one or more of {','.join(TESTS)}")
+    if len(set(tests)) < len(tests):
+        raise _UsageError(f"--tests {text!r}: each test may be named once")
     _check_alpha(alpha)
     return tests
 

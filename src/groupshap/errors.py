@@ -53,8 +53,9 @@ class DegenerateVariance(GroupShapError):
     """All-constant data: variance estimates vanish."""
 
 
-class InvalidCorrelation(GroupShapError):
-    """Compound-symmetry correlation outside [0, 1)."""
+class InvalidCorrelation(GroupShapError, ValueError):
+    """Compound-symmetry correlation outside [0, 1); a bad argument value,
+    hence also a ValueError."""
 
 
 class AREUnavailable(GroupShapError):

@@ -1,21 +1,24 @@
 """Monte Carlo driver for the size/power study plus concentration analyses.
 
-Grid cells run independently; each replication derives its stream from the
-cell seed and the replication index, so results are identical whether the
-cells run serially or on a thread pool. Within a cell, replications run in
-blocks: one block is generated as an R x S x K stack, and one moments pass
-and one call per test compute its statistics as arrays over R; a block of
-one replication is a single S x K sample. Emitted tables mirror the study
-layout: model/K/S as rows, one column block per (alternative, rho) with one
-column per test, degenerate cells printed as NaN.
+The grid's unit of work is a block of replications of one cell: about
+BLOCK_FLOATS floats, generated as one R x S x K stack, whose statistics one
+moments pass and one call per test compute as arrays over R; a block of one
+replication is a single S x K sample. All blocks of all cells run on one
+thread pool and are tallied per cell in cell order. Each replication draws
+from its own stream, keyed by the cell seed and the replication index, so
+every result is the same however the blocks are cut and scheduled. Emitted
+tables mirror the study layout: model/K/S as rows, one column block per
+(alternative, rho) with one column per test, degenerate cells printed as NaN.
 Per-cell diagnostics go to their own file, outside the tables.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import os
+import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -23,23 +26,29 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AREUnavailable, DegenerateConcentration, ShapeError
-from .inference import moments, outcomes_from_moments
+from .inference import Outcomes, moments, outcomes_from_moments
 from .simgen import Alternative, SimSpec, ZModel, generate
 
-# _run_cell does not call this; perfbench/tracing.py looks the name up here
+# _run_block does not call this; perfbench/tracing.py looks the name up here
 # and wraps it, so it stays importable (its per-test spans stay empty on the
 # grid)
 from .inference import run_tests_from_moments  # noqa: F401
 
 DEFAULT_TESTS = ("wald", "cq", "gs")
-# Floats (K * S per replication) at which a replication stops being mostly
-# per-replication Python work and becomes mostly BLAS/LAPACK work. A cell
-# runs its replications in blocks of about this many floats, so that smaller
-# replications share their Python work. The grid runs its cells on a thread
-# pool when its largest cell is at least this size: BLAS/LAPACK work releases
-# the GIL, Python work only contends for it (on 2 cores, serial/pooled time
-# was 0.8-0.9 at K*S = 1e3 and 1.3-1.8 from 1.5e4 on).
-POOL_MIN_CELL_SIZE = 10_000
+# Floats (R * K * S) in one block of R replications. A block is the grid's
+# unit of work: one generate call, one moments pass and one call per test
+# serve all its replications, so they share their Python work, and every
+# block of every cell goes to one thread pool (BLAS/LAPACK and most numpy
+# work release the GIL). A cell of K * S >= this runs in blocks of one.
+# Chosen by a sweep over the paper grid's (K, S) shapes (rho = 0.5, normal
+# rows, one thread, best of 3-5 noisy runs): ms per replication in blocks of
+# one -> blocks of about 5e4 floats went K=20, S=50 0.26 -> 0.08; K=20,
+# S=300 0.35 -> 0.22; K=20, S=600 0.77 -> 0.55; K=100, S=50 0.37 -> 0.22;
+# K=500, S=50 0.83 -> 0.84. Blocks of about 1e5 floats were slower at K=20,
+# S=600, K=100, S=50 and K=500, S=50, and faster only at K=20, S=50 (0.07).
+# K=100, S=300 (3e4 floats) keeps blocks of one: blocks of two and three
+# ran 1.26 and 1.43 ms against 1.54, inside the sweep's noise.
+BLOCK_FLOATS = 50_000
 
 
 @dataclass
@@ -165,73 +174,104 @@ def grid_specs(
     return specs
 
 
-def _run_cell(spec: SimSpec, tests) -> tuple[list[CellResult], CellDiagnostics]:
-    n = spec.replications
-    block = int(min(n, max(1, POOL_MIN_CELL_SIZE // (spec.K * spec.S))))
-    # per test, each replication's degenerate flag and decision; the GS
-    # arrays feed the diagnostics
-    flag = {t: np.empty(n, dtype=np.intp) for t in tests}
-    reject = {t: np.empty(n, dtype=bool) for t in tests}
-    reasons = {}
-    n_screened, fallback, d = np.empty(n, dtype=np.intp), np.empty(n, dtype=bool), np.empty(n)
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        # phi is held until the next block: freed before the tests run, it
-        # lets the allocator return the heap top to the OS, and every block
-        # of a large cell faults its pages in again (144 minor faults per
-        # replication at K=100, S=300)
-        # a block of one is one S x K sample, whose statistics are numpy
-        # scalars: a tenth of the cost of length-1 arrays
-        phi = (generate(spec, start) if stop - start == 1 else generate(spec, start, stop)).phi
-        for o in outcomes_from_moments(moments(phi), spec.alpha, tests):
-            flag[o.test][start:stop] = o.flag
-            reject[o.test][start:stop] = o.reject
+def _run_block(spec: SimSpec, start: int, stop: int, tests, held) -> list[Outcomes]:
+    """The tests on replications start .. stop - 1 of a cell, as one stack.
+
+    A block of one is one S x K sample, whose statistics are numpy scalars:
+    a tenth of the cost of length-1 arrays. The sample stays on `held`, a
+    threading.local, until the thread's next block is drawn: freed before,
+    it lets the allocator return the heap top to the OS, and every block of
+    a large cell faults its pages in again (3x the minor faults on the
+    K=500 grid of the benchmark, run on one thread).
+    """
+    held.phi = (generate(spec, start) if stop - start == 1 else generate(spec, start, stop)).phi
+    return outcomes_from_moments(moments(held.phi), spec.alpha, tests)
+
+
+class _Tally:
+    """One cell's record, filled in block by block: per test, each
+    replication's degenerate flag and decision, and the GS screen counts,
+    normal fallbacks and fitted d behind the diagnostics."""
+
+    def __init__(self, spec: SimSpec, tests):
+        n = spec.replications
+        self.spec, self.tests = spec, tests
+        self.flag = {t: np.empty(n, dtype=np.intp) for t in tests}
+        self.reject = {t: np.empty(n, dtype=bool) for t in tests}
+        self.reasons = {}
+        self.n_screened = np.empty(n, dtype=np.intp)
+        self.fallback = np.empty(n, dtype=bool)
+        self.d = np.empty(n)
+
+    def add(self, start: int, stop: int, outcomes: list[Outcomes]) -> None:
+        for o in outcomes:
+            self.flag[o.test][start:stop] = o.flag
+            self.reject[o.test][start:stop] = o.reject
             # a test's flags depend on K and S alone, which the cell fixes
-            reasons[o.test] = o.flags
+            self.reasons[o.test] = o.flags
             if o.test == "gs":
-                n_screened[start:stop] = o.extra["t0"]["n_screened"]
-                fallback[start:stop] = o.extra["approx"]["normal_fallback"]
-                d[start:stop] = o.extra["approx"]["d"]
-    key = dict(
-        model=spec.model.value,
-        K=spec.K,
-        S=spec.S,
-        rho=spec.rho,
-        alternative=spec.alternative.value,
-    )
-    cells, degenerate = [], Counter()
-    for t in tests:
-        ran = flag[t] == 0
-        per_flag = np.bincount(flag[t], minlength=len(reasons[t]) + 1)[1:]
-        for (tag, _), count in zip(reasons[t], per_flag.tolist()):
-            degenerate[(t, tag)] += count
-        cells.append(
-            CellResult(
-                **key,
-                test=t,
-                rejections=int(np.count_nonzero(reject[t] & ran)),
-                replications=n,
-                degenerate_count=n - int(np.count_nonzero(ran)),
-            )
+                self.n_screened[start:stop] = o.extra["t0"]["n_screened"]
+                self.fallback[start:stop] = o.extra["approx"]["normal_fallback"]
+                self.d[start:stop] = o.extra["approx"]["d"]
+
+    def result(self) -> tuple[list[CellResult], CellDiagnostics]:
+        spec, n = self.spec, self.spec.replications
+        key = dict(
+            model=spec.model.value,
+            K=spec.K,
+            S=spec.S,
+            rho=spec.rho,
+            alternative=spec.alternative.value,
         )
-    diagnostics = CellDiagnostics(**key, replications=n, degenerate=dict(+degenerate))
-    if "gs" in tests:
-        ran = flag["gs"] == 0
-        diagnostics.gs_screen_fired = int(np.count_nonzero(ran & (n_screened > 0)))
-        diagnostics.gs_normal_fallback = int(np.count_nonzero(ran & fallback))
-        fitted = d[ran & np.isfinite(d)]
-        if fitted.size:
-            diagnostics.gs_d_quantiles = tuple(np.quantile(fitted, (0.05, 0.5, 0.95)).tolist())
-    return cells, diagnostics
+        cells, degenerate = [], Counter()
+        for t in self.tests:
+            ran = self.flag[t] == 0
+            per_flag = np.bincount(self.flag[t], minlength=len(self.reasons[t]) + 1)[1:]
+            for (tag, _), count in zip(self.reasons[t], per_flag.tolist()):
+                degenerate[(t, tag)] += count
+            cells.append(
+                CellResult(
+                    **key,
+                    test=t,
+                    rejections=int(np.count_nonzero(self.reject[t] & ran)),
+                    replications=n,
+                    degenerate_count=n - int(np.count_nonzero(ran)),
+                )
+            )
+        diagnostics = CellDiagnostics(**key, replications=n, degenerate=dict(+degenerate))
+        if "gs" in self.tests:
+            ran = self.flag["gs"] == 0
+            diagnostics.gs_screen_fired = int(np.count_nonzero(ran & (self.n_screened > 0)))
+            diagnostics.gs_normal_fallback = int(np.count_nonzero(ran & self.fallback))
+            fitted = self.d[ran & np.isfinite(self.d)]
+            if fitted.size:
+                diagnostics.gs_d_quantiles = tuple(np.quantile(fitted, (0.05, 0.5, 0.95)).tolist())
+        return cells, diagnostics
 
 
 def _run_grid(specs, tests, alpha: float, seed: int) -> GridResult:
-    threads = min(os.cpu_count() or 1, len(specs))
-    if threads <= 1 or max(s.K * s.S for s in specs) < POOL_MIN_CELL_SIZE:
-        per_cell = [_run_cell(spec, tests) for spec in specs]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_cell = list(pool.map(lambda s: _run_cell(s, tests), specs))
+    tallies = [_Tally(spec, tests) for spec in specs]
+    blocks = []
+    for tally in tallies:
+        n, size = tally.spec.replications, max(1, BLOCK_FLOATS // (tally.spec.K * tally.spec.S))
+        blocks += [(tally, start, min(start + size, n)) for start in range(0, n, size)]
+
+    held = threading.local()
+
+    def run(block):
+        tally, start, stop = block
+        return _run_block(tally.spec, start, stop, tests, held)
+
+    threads = min(os.cpu_count() or 1, len(blocks))
+    with contextlib.ExitStack() as stack:
+        run_all = map
+        if threads > 1:
+            run_all = stack.enter_context(ThreadPoolExecutor(max_workers=threads)).map
+        # tallied in block order as the blocks finish: only the outcomes of
+        # blocks that ran ahead of the first unfinished one are held at once
+        for (tally, start, stop), outcomes in zip(blocks, run_all(run, blocks)):
+            tally.add(start, stop, outcomes)
+    per_cell = [tally.result() for tally in tallies]
     cells = [c for chunk, _ in per_cell for c in chunk]
     diagnostics = [diag for _, diag in per_cell]
     return GridResult(cells=cells, alpha=alpha, seed=seed, diagnostics=diagnostics)

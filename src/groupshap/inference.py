@@ -36,11 +36,14 @@ class SampleMoments:
     """Mean, covariance and trace statistics of an S x K sample, or of each
     sample of an R x S x K stack.
 
-    tr2_hat and tr3_hat are the unbiased estimates of tr(Sigma^2) and
-    tr(Sigma^3). The trace statistics only need the smaller of the K x K
-    covariance and the S x S Gram matrix, so cov is None when S <= K, where
-    Wald is degenerate and nothing reads it. For a stack every field gains a
-    leading axis of length R: mean is R x K, tr1 has length R.
+    tr2_hat and tr3_hat estimate tr(Sigma^2) and tr(Sigma^3); they are
+    unbiased for Gaussian rows only. Under heavier tails tr2_hat is biased
+    upwards: its mean over the truth measured 1.53 for scaled-t4 rows at
+    K=500, S=50, rho=0 (2000 draws). The trace statistics only need the
+    smaller of the K x K covariance and the S x S Gram matrix, so cov is None
+    when S <= K, where Wald is degenerate and nothing reads it. For a stack
+    every field gains a leading axis of length R: mean is R x K, tr1 has
+    length R.
     """
 
     def __init__(self, mean, S, tr1, tr2_hat, tr3_hat, diag, cov=None):
@@ -103,8 +106,9 @@ def _normal(x):
 
 
 def moments(phi) -> SampleMoments:
-    """Sample mean, covariance (divisor S-1) and unbiased trace estimates of
-    an S x K sample, or of each sample of an R x S x K stack.
+    """Sample mean, covariance (divisor S-1) and trace estimates (unbiased
+    for Gaussian rows) of an S x K sample, or of each sample of an R x S x K
+    stack.
 
     The tr(Sigma^3) estimator's constant has roots at S=3, hence S >= 4.
     A quantity whose inputs left the normal float range is nan: a variance
@@ -166,6 +170,8 @@ def t1_statistic(m: SampleMoments) -> T1Stat:
         raw, normalized, k2 = _one_sample(m).t1
     if k2 <= 0.0:
         raise DegenerateVariance("estimated null variance is not positive")
+    if not all(map(math.isfinite, (raw, normalized, k2))):
+        raise OverflowError("trace statistic outside the float range")
     return T1Stat(raw=float(raw), normalized=float(normalized), k2_hat=float(k2))
 
 

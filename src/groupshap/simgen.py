@@ -53,8 +53,13 @@ class SimSpec:
         self.alternative = Alternative(self.alternative)
         if not 0.0 <= self.rho < 1.0:
             raise InvalidCorrelation(f"rho must be in [0, 1), got {self.rho}")
-        if self.sigma2 <= 0:
-            raise ValueError("sigma2 must be positive")
+        if not 0.0 < self.sigma2 < math.inf:
+            raise ValueError(f"sigma2 must be positive and finite, got {self.sigma2}")
+        # the larger eigenvalue of Sigma, under the covariance root
+        if not math.isfinite(self.sigma2 * (1.0 - self.rho + self.rho * self.K)):
+            raise ValueError(
+                f"sigma2 = {self.sigma2} overflows the covariance root at K={self.K}, rho={self.rho}"
+            )
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if self.K < 1 or self.S < 4:  # moments needs S >= 4
@@ -108,10 +113,14 @@ def covariance_root(K: int, rho: float, sigma2: float) -> np.ndarray:
 
 
 def _apply_root(z: np.ndarray, K: int, rho: float, sigma2: float) -> np.ndarray:
-    # z @ root without forming the K x K matrix
+    # z @ root without forming the K x K matrix, in z's memory (a block's
+    # temporaries are most of a grid thread's memory)
     s_small = math.sqrt(sigma2 * (1.0 - rho))
     s_big = math.sqrt(sigma2 * (1.0 - rho + rho * K))
-    return s_small * z + (s_big - s_small) / K * z.sum(axis=-1, keepdims=True)
+    total = z.sum(axis=-1, keepdims=True)
+    z *= s_small
+    z += (s_big - s_small) / K * total
+    return z
 
 
 def alternative_mu(kind: Alternative, K: int, S: int) -> np.ndarray:
@@ -140,7 +149,8 @@ def generate(spec: SimSpec, replication_index: int, stop: int | None = None) -> 
         z.append(draw_z(spec.model, spec.S, spec.K, rng))
     z = z[0] if stop is None else np.stack(z)
     mu = alternative_mu(spec.alternative, spec.K, spec.S)
-    phi = mu + _apply_root(z, spec.K, spec.rho, spec.sigma2)
+    phi = _apply_root(z, spec.K, spec.rho, spec.sigma2)
+    phi += mu
     return FactorSample(phi=phi, mu=mu, spec=spec)
 
 

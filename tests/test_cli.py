@@ -285,6 +285,16 @@ def test_unknown_test_name_exits_one(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", [["test"], ["simulate", "size"]])
+def test_repeated_test_name_exits_one(tmp_path, capsys, command):
+    # a repeated test would repeat its rows in every table and report
+    args = ["--shap", str(_random_shap_csv(tmp_path, ["a"]))] if command == ["test"] else []
+    out = tmp_path / "out"
+    assert main(command + args + ["--tests", "gs,cq,gs", "--out", str(out)]) == 1
+    assert "--tests 'gs,cq,gs': each test may be named once" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["test"], ["simulate", "size"]])
 @pytest.mark.parametrize("alpha", ["2", "0", "nan"])
 def test_alpha_outside_unit_interval_exits_one(tmp_path, capsys, command, alpha):
     args = ["--shap", str(_random_shap_csv(tmp_path, ["a"]))] if command == ["test"] else []
@@ -337,6 +347,32 @@ def test_bad_flag_or_config_value_exits_one(tmp_path, dataset_csv, capsys, argv)
     assert f"groupshap {argv[0]}: " in err and "Traceback" not in err
     if "not_utf8.cfg" in argv[-3]:
         assert f"{argv[-3]}: not UTF-8 text" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        pytest.param(argv, message, id=" ".join(argv))
+        for argv, message in [
+            (["--rho", "1.0"], "rho must be in [0, 1), got 1.0"),
+            (["--rho", "nan"], "rho must be in [0, 1), got nan"),
+            (["--config", "rho.cfg"], "rho must be in [0, 1), got -0.5"),
+            (["--sigma2", "nan"], "sigma2 must be positive and finite, got nan"),
+            (["--sigma2", "inf"], "sigma2 must be positive and finite, got inf"),
+            (["--sigma2", "1e308"], "sigma2 = 1e+308 overflows the covariance root"),
+            (["--config", "sigma2.cfg"], "sigma2 = 5e+307 overflows the covariance root"),
+        ]
+    ],
+)
+def test_rho_or_sigma2_out_of_range_exits_one(tmp_path, capsys, argv, message):
+    (tmp_path / "rho.cfg").write_text("rho = -0.5\n")
+    (tmp_path / "sigma2.cfg").write_text("sigma2 = 5e307\n")
+    argv = [str(tmp_path / a) if a.endswith(".cfg") else a for a in argv]
+    out = tmp_path / "out"
+    assert main(["simulate", "size", *argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
     assert not out.exists()
 
 

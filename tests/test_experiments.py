@@ -17,7 +17,6 @@ from groupshap.errors import (
 from groupshap.experiments import (
     CellResult,
     GridResult,
-    _run_cell,
     are_metric,
     corr_determinant,
     emit_tables,
@@ -157,8 +156,6 @@ def test_size_grid_structure_and_wald_degeneracy():
 
 
 def test_grid_deterministic_across_schedules(monkeypatch):
-    monkeypatch.setattr(experiments, "POOL_MIN_CELL_SIZE", math.inf)
-    serial = run_size_grid(_tiny_size_specs(), tests=("cq", "gs"), master_seed=42)
     pools = []
 
     class Pool(experiments.ThreadPoolExecutor):
@@ -166,29 +163,49 @@ def test_grid_deterministic_across_schedules(monkeypatch):
             pools.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr(experiments, "POOL_MIN_CELL_SIZE", 0)
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
     monkeypatch.setattr(experiments, "ThreadPoolExecutor", Pool)
-    pooled = run_size_grid(_tiny_size_specs(), tests=("cq", "gs"), master_seed=42)
-    assert pools == [2]  # two cells, so two threads
+    # K * S = 100 and 600: one block of 300, and blocks of 83, 83, 83 and 51
+    specs = _tiny_size_specs(reps=300)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 1)
+    serial = run_size_grid(specs, tests=("cq", "gs"), master_seed=42)
+    assert pools == []
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 8)
+    pooled = run_size_grid(specs, tests=("cq", "gs"), master_seed=42)
+    assert pools == [5]  # min(cpu_count, blocks)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+    run_size_grid(specs, tests=("cq", "gs"), master_seed=42)
+    assert pools == [5, 4]
     assert serial.cells == pooled.cells
+    assert serial.diagnostics == pooled.diagnostics
 
 
 @pytest.mark.parametrize("reps", [1, 7, 23])
 def test_blocking_does_not_change_results(monkeypatch, reps):
-    # blocks of 10, 5, 2 and 1 replications; K >= S makes Wald degenerate
-    specs = grid_specs(["skewed"], [20, 40, 100], [50, 100], [0.5], "null", reps, 11)
+    # K * S from 1e3 to 5e4: blocks of 50, 25, 12, 10, 5, 2 and 1
+    # replications, the last one partial at 7 and 23; K >= S makes Wald
+    # degenerate
+    specs = grid_specs(["skewed"], [20, 40, 100, 500], [50, 100], [0.5], "null", reps, 11)
     tests = ("wald", "cq", "gs")
-    blocked = [_run_cell(spec, tests) for spec in specs]
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
-    pooled = run_size_grid(specs, tests, master_seed=11)  # K * S = 1e4: on the pool
-    monkeypatch.setattr(experiments, "POOL_MIN_CELL_SIZE", 0)
-    single = [_run_cell(spec, tests) for spec in specs]  # blocks of one
-    cells = [c for chunk, _ in blocked for c in chunk]
-    assert cells == pooled.cells == [c for chunk, _ in single for c in chunk]
-    diagnostics = [d for _, d in blocked]
-    assert diagnostics == pooled.diagnostics == [d for _, d in single]
-    assert all(c.degenerate_count == reps for c in cells if c.test == "wald" and c.K >= c.S)
+    blocks = {}
+    run_block = experiments._run_block
+
+    def recorded(spec, start, stop, tests, held):
+        blocks.setdefault((spec.K, spec.S), []).append((start, stop))
+        return run_block(spec, start, stop, tests, held)
+
+    monkeypatch.setattr(experiments, "_run_block", recorded)
+    blocked = run_size_grid(specs, tests, master_seed=11)
+    for (K, S), bounds in blocks.items():
+        size = max(1, experiments.BLOCK_FLOATS // (K * S))
+        assert sorted(bounds) == [(a, min(a + size, reps)) for a in range(0, reps, size)]
+    monkeypatch.setattr(experiments, "BLOCK_FLOATS", 1)  # blocks of one
+    single = run_size_grid(specs, tests, master_seed=11)
+    monkeypatch.setattr(experiments, "BLOCK_FLOATS", 10**9)  # one block a cell
+    whole = run_size_grid(specs, tests, master_seed=11)
+    assert blocked.cells == single.cells == whole.cells
+    assert blocked.diagnostics == single.diagnostics == whole.diagnostics
+    wald = [c for c in blocked.cells if c.test == "wald" and c.K >= c.S]
+    assert all(c.degenerate_count == reps for c in wald)
 
 
 def test_diagnostics_csv_has_one_row_per_cell(tmp_path):

@@ -506,11 +506,21 @@ def test_scale_invariance_of_decisions(c, seed):
         assert b.reject == a.reject
 
 
-@pytest.mark.parametrize("scale", [1e-40, 1e30, 1e60, 1e160])
+@pytest.mark.parametrize("scale", [1e-100, 1e-40, 1e30, 1e60, 1e100, 1e160])
 def test_scale_outside_the_float_range_is_degenerate_not_an_error(scale):
     # GS cumulants are degree 6 in phi: they underflow or overflow first
     phi = np.random.default_rng(5).normal(size=(30, 3)) * scale
     assert gs_test(phi).degenerate == "FloatRange"
+    m = moments(phi)
+    with pytest.raises(OverflowError):
+        chi_sq_approx(m)
+    # T1's variance is degree 4: normal floats from about 1e-77 to 1e77
+    if 1e-75 < scale < 1e75:
+        t1 = t1_statistic(m)
+        assert all(map(math.isfinite, (t1.raw, t1.normalized, t1.k2_hat)))
+    else:
+        with pytest.raises(OverflowError):
+            t1_statistic(m)
     for rep in group_joint_test(phi, FeatureGrouping.singletons(3), tests=("gs", "wald", "cq")):
         assert rep.degenerate or math.isfinite(rep.statistic) and math.isfinite(rep.p_value)
 
