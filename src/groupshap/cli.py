@@ -51,6 +51,7 @@ from .shapley import (
 from .simgen import SimSpec, read_simspec_file, synth_regression
 from .tree import (
     DataError,
+    Dataset,
     load_model,
     read_csv_dataset,
     save_model,
@@ -135,13 +136,18 @@ def _check_alpha(alpha: float) -> None:
         raise _UsageError(f"alpha must be in (0, 1), got {alpha!r}")
 
 
+def _named_once(flag: str, text: str, items, what: str = "value") -> None:
+    """A repeated item would repeat rows, or run cells that share one key."""
+    if len(set(items)) < len(items):
+        raise _UsageError(f"{flag} {text!r}: each {what} may be named once")
+
+
 def _checked_tests(text: str, alpha: float) -> tuple[str, ...]:
     """The --tests list, after checking it and alpha."""
     tests = tuple(_csv_list(text))
     if not tests or not set(tests) <= set(TESTS):
         raise _UsageError(f"--tests {text!r}: choose one or more of {','.join(TESTS)}")
-    if len(set(tests)) < len(tests):
-        raise _UsageError(f"--tests {text!r}: each test may be named once")
+    _named_once("--tests", text, tests, "test")
     _check_alpha(alpha)
     return tests
 
@@ -184,7 +190,10 @@ def _align_features(data, model):
 
 def _cmd_explain(args) -> int:
     model = load_model(args.model)
-    data = read_csv_dataset(args.data, target=args.target)
+    data = read_csv_dataset(args.data)
+    if args.target in data.columns:
+        t = data.columns.index(args.target)
+        data = Dataset(np.delete(data.X, t, axis=1), None, data.columns[:t] + data.columns[t + 1 :])
     X = _align_features(data, model)
     names = model.feature_names or data.columns
     grouping = read_grouping_file(args.groups, list(names))
@@ -296,21 +305,23 @@ def _simulate_specs(args) -> tuple[list, tuple[str, ...], int]:
     def setting(flag, key, fallback):
         return flag if flag is not None else config.get(key, fallback)
 
-    def listed(flag, key, parse, fallback):
-        return parse(flag) if flag else [config.get(key, fallback)]
+    def listed(flag, name, key, parse, fallback):
+        values = parse(flag) if flag else [config.get(key, fallback)]
+        _named_once(name, flag, values)
+        return values
 
-    models = listed(args.models, "model", _csv_list, default.model.value)
-    ks = listed(args.k, "k", _int_list, default.K)
-    ss = listed(args.s, "s", _int_list, default.S)
-    rhos = listed(args.rho, "rho", _float_list, default.rho)
+    models = listed(args.models, "--models", "model", _csv_list, default.model.value)
+    ks = listed(args.k, "--k", "k", _int_list, default.K)
+    ss = listed(args.s, "--s", "s", _int_list, default.S)
+    rhos = listed(args.rho, "--rho", "rho", _float_list, default.rho)
     reps = setting(args.reps, "replications", default.replications)
     alpha = setting(args.alpha, "alpha", default.alpha)
     sigma2 = setting(args.sigma2, "sigma2", default.sigma2)
     tests = _checked_tests(args.tests, alpha)
     size = args.kind == "size"
-    alternatives = _csv_list(
-        setting(args.alternatives, "alternative", "null" if size else "sparse,dense")
-    )
+    text = setting(args.alternatives, "alternative", "null" if size else "sparse,dense")
+    alternatives = _csv_list(text)
+    _named_once("--alternatives", text, alternatives)
     if size and set(alternatives) != {"null"}:
         raise _UsageError("--alternatives: a size run has no shift; use simulate power")
     if not size and "null" in alternatives:
@@ -333,6 +344,9 @@ def _cmd_simulate(args) -> int:
     _write_run_config(args.out, args, seed=seed, outputs=written)
     for path in written:
         print(f"wrote {path}")
+    if all(c.rejection_rate is None for c in result.cells):
+        print("every requested test was degenerate in every replication", file=sys.stderr)
+        return EXIT_DEGENERATE
     return EXIT_OK
 
 

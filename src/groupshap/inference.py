@@ -11,9 +11,9 @@ R x S x K stack of samples as well as one S x K sample: every per-sample
 quantity then gains a leading axis of length R, so a block of Monte Carlo
 replications is one pass, and one sample's quantities are numpy scalars.
 
-A test is tagged FloatRange, not run, where a quantity it uses has left the
-normal float range (see moments); for unit-spread attributions Wald runs from
-about 1e-153 to 1e153, CQ from 1e-77 to 1e77 and GS from 1e-25 to 1e26.
+Every test is scale invariant, and moments brings a sample of extreme scale
+to unit scale by an exact power of two, so each test gives the unit-scale
+result, to rounding, wherever in the float range the sample lies.
 """
 
 from __future__ import annotations
@@ -43,10 +43,11 @@ class SampleMoments:
     smaller of the K x K covariance and the S x S Gram matrix, so cov is None
     when S <= K, where Wald is degenerate and nothing reads it. For a stack
     every field gains a leading axis of length R: mean is R x K, tr1 has
-    length R.
+    length R. The fields are the moments of phi / scale, where scale is the
+    power of two that moments divided the sample by (1 for most samples).
     """
 
-    def __init__(self, mean, S, tr1, tr2_hat, tr3_hat, diag, cov=None):
+    def __init__(self, mean, S, tr1, tr2_hat, tr3_hat, diag, cov=None, scale=1.0):
         self.mean = np.asarray(mean, dtype=float)
         self.S = int(S)
         self.K = self.mean.shape[-1]
@@ -56,6 +57,7 @@ class SampleMoments:
         self.tr3_hat = np.asarray(tr3_hat, dtype=float)[()]
         self.diag = np.asarray(diag, dtype=float)
         self.cov = cov
+        self.scale = np.asarray(scale, dtype=float)[()]
 
     @cached_property
     def t1(self) -> tuple:
@@ -85,24 +87,11 @@ def _as_phi(phi, stacked: bool = False) -> np.ndarray:
 
 def _pow(x, n: int):
     """x**n element by element with Python's float power, which calls the C
-    library's pow (numpy's power rounds differently in the last bit); inf
-    where it overflows, which Python reports by raising."""
-
-    def power(v):
-        try:
-            return v**n
-        except OverflowError:
-            return math.inf
-
+    library's pow (numpy's power rounds differently in the last bit); it
+    raises OverflowError where the power overflows, which moments prevents."""
     if not isinstance(x, np.ndarray) or x.ndim == 0:
-        return np.float64(power(float(x)))
-    return np.array([power(v) for v in x.tolist()])
-
-
-def _normal(x):
-    """Where x, zero or positive, is a normal float: at least finfo.tiny and
-    finite (False at nan)."""
-    return (x >= np.finfo(float).tiny) & (x <= np.finfo(float).max)
+        return np.float64(float(x) ** n)
+    return np.array([v**n for v in x.tolist()])
 
 
 def moments(phi) -> SampleMoments:
@@ -111,22 +100,34 @@ def moments(phi) -> SampleMoments:
     stack.
 
     The tr(Sigma^3) estimator's constant has roots at S=3, hence S >= 4.
-    A quantity whose inputs left the normal float range is nan: a variance
-    rounded to 0 from nonzero terms, and tr2_hat or tr3_hat where one of the
-    degree-4 or degree-6 terms behind it is inf, below finfo.tiny or rounded
-    to 0, unless the sample is constant (then they are exactly 0).
+    A sample whose largest |centered entry| lies outside [2^-32, 2^32) is
+    divided, exactly, by the power of two that brings that entry into
+    [0.5, 1) ([0.5, 2) above 2^1023), and centered again; scale records the
+    divisor. Only where the mean or the centering overflows (entries near
+    finfo.max) can a statistic leave the float range.
     """
     phi = _as_phi(phi, stacked=True)
     *lead, S, K = phi.shape
     if S <= 3:
         raise SampleTooSmall(f"need S >= 4 observations, got {S}")
-    with np.errstate(all="ignore"):  # overflow and inf - inf beyond the float range
+    with np.errstate(all="ignore"):  # sums and differences overflow near finfo.max
         mean = phi.mean(axis=-2)
         centered = phi - mean[..., None, :]
+        peak = np.abs(centered).max(axis=(-2, -1), initial=0.0)
+        # A sample inside the band keeps scale 1, and so every bit: C pow is not
+        # scale-equivariant in the last bit. Without this normalisation GS ran for
+        # unit-normal samples scaled by 2^-80 to 2^84 on every shape tried, so the
+        # band leaves at least 45 binary orders of scale before its degree-12 terms
+        # k2^3 and k3^2 leave the float range. frexp's exponent is 0 at 0, inf and
+        # nan (constant and overflowed samples); capped at 1023, scale stays finite.
+        inside = (peak >= 2.0**-32) & (peak < 2.0**32)
+        exponent = np.where(inside, 0, np.minimum(np.frexp(peak)[1], 1023))
+        if np.count_nonzero(exponent):
+            # centered again, for a full-precision mean of subnormal samples
+            phi = np.ldexp(phi, -exponent[..., None, None])
+            mean = phi.mean(axis=-2)
+            centered = phi - mean[..., None, :]
         diag = (centered * centered).sum(axis=-2) / (S - 1)
-        zero = diag == 0.0
-        if np.count_nonzero(zero):  # a constant column, or squares that underflowed
-            diag = np.where(zero & (centered != 0.0).any(axis=-2), math.nan, diag)
         # traces on the smaller of the S x S Gram and the K x K covariance matrix:
         # both have the same nonzero spectrum
         gram = S <= K
@@ -137,20 +138,14 @@ def moments(phi) -> SampleMoments:
         tr1 = np.trace(a, axis1=-2, axis2=-1)
         t2 = (a * a).reshape(*lead, -1).sum(axis=-1)
         t3 = ((a @ a) * a).reshape(*lead, -1).sum(axis=-1)
-        tr1_sq, tr1_cubed = _pow(tr1, 2), _pow(tr1, 3)
-        tr2_hat = (S - 1) ** 2 / ((S - 2) * (S + 1)) * (t2 - tr1_sq / (S - 1))
+        tr2_hat = (S - 1) ** 2 / ((S - 2) * (S + 1)) * (t2 - _pow(tr1, 2) / (S - 1))
         tr3_hat = (
             (S - 1) ** 4
             / ((S**2 + S - 6) * (S**2 - 2 * S - 3))
-            * (t3 - 3 * tr1 * t2 / (S - 1) + 2 * tr1_cubed / (S - 1) ** 2)
+            * (t3 - 3 * tr1 * t2 / (S - 1) + 2 * _pow(tr1, 3) / (S - 1) ** 2)
         )
-    # t2 <= tr1**2 and t3 <= tr1 * t2 <= tr1**3: the least and the greatest
-    # term of each degree bound the others
-    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
-    constant = (diag == 0.0).all(axis=-1)
-    tr2_hat = np.where((t2 >= tiny) & (tr1_sq <= huge) | constant, tr2_hat, math.nan)
-    tr3_hat = np.where((t3 >= tiny) & (tr1_cubed <= huge) | constant, tr3_hat, math.nan)
-    return SampleMoments(mean, S, tr1, tr2_hat, tr3_hat, diag, None if gram else a)
+    scale = np.ldexp(1.0, exponent)
+    return SampleMoments(mean, S, tr1, tr2_hat, tr3_hat, diag, None if gram else a, scale)
 
 
 @dataclass
@@ -187,26 +182,18 @@ class ChiSqApprox:
     normal_fallback: bool = False
 
 
-def _chi_sq(m: SampleMoments, k2) -> tuple[dict, object]:
+def _chi_sq(m: SampleMoments, k2) -> dict:
     """The ChiSqApprox fields d, k2_hat, k3_hat and normal_fallback per
-    sample, and where the match's powers left the normal float range (it is
-    then undefined). beta0 and beta1 only go into reports: _approx computes
-    them."""
+    sample. beta0 and beta1 only go into reports: _approx computes them."""
     S = m.S
     k3 = 8.0 * (S - 2) * m.tr3_hat / (S**2 * (S - 1) ** 2)
-    fallback = k3 == 0.0
-    # k2**2 in beta0 is in the normal range where k2**3 is
-    k2_cubed, k3_sq = _pow(k2, 3), _pow(k3, 2)
-    # 8 * (a / b) has the bits of 8 * a / b, without 8 * a overflowing first
-    d = 8.0 * (k2_cubed / k3_sq)
-    if np.count_nonzero(fallback):
-        d = np.where(fallback, math.inf, d)
-    approx = {"d": d, "k2_hat": k2, "k3_hat": k3, "normal_fallback": fallback}
-    return approx, ~(_normal(k2_cubed) & _normal(k3_sq) | fallback)
+    # 8 * (a / b) has the bits of 8 * a / b; inf at k3 = 0, as k2^3 > 0 after scaling
+    d = 8.0 * (_pow(k2, 3) / _pow(k3, 2))
+    return {"d": d, "k2_hat": k2, "k3_hat": k3, "normal_fallback": k3 == 0.0}
 
 
 def _approx(approx: dict, r=()) -> ChiSqApprox:
-    """Sample r's ChiSqApprox, where its match is in the float range."""
+    """Sample r's ChiSqApprox."""
     k2, k3 = float(approx["k2_hat"][r]), float(approx["k3_hat"][r])
     beta0 = beta1 = math.nan
     if k3 != 0.0:
@@ -223,10 +210,10 @@ def chi_sq_approx(m: SampleMoments) -> ChiSqApprox:
     """
     with np.errstate(all="ignore"):
         k2 = _one_sample(m).t1[2]
-        approx, out_of_range = _chi_sq(m, k2)
+        approx = _chi_sq(m, k2)
     if k2 <= 0.0:
         raise DegenerateVariance("estimated null variance is not positive")
-    if out_of_range:
+    if not (math.isfinite(k2) and math.isfinite(approx["k3_hat"])):
         raise OverflowError("cumulant match outside the float range")
     return _approx(approx)
 
@@ -339,8 +326,7 @@ def _outcomes(test, alpha, stat, crit, p, masks, reasons, extra=None, fields=Non
     """Outcomes whose degenerate samples follow `masks`, in falling
     precedence, with the (tag, reason) pairs `reasons`. A sample none of
     them flags is tagged FloatRange if its statistic or p-value is not
-    finite, which is how a moment made nan outside the normal float range
-    (see moments) surfaces."""
+    finite, as where the mean or the centering overflowed (see moments)."""
     # p is a probability where it is finite, so stat + p is finite exactly
     # where both are
     masks = (*masks, ~np.isfinite(stat + p))
@@ -373,7 +359,7 @@ def _gs_outcomes(m: SampleMoments, alpha: float) -> Outcomes:
     T scale, so reject <=> statistic >= critical_value.
     """
     raw, normalized, k2 = m.t1
-    approx, out_of_range = _chi_sq(m, k2)
+    approx = _chi_sq(m, k2)
     t0 = _t0(m)
     stat = t0["value"] + normalized
     d = approx["d"]
@@ -385,13 +371,9 @@ def _gs_outcomes(m: SampleMoments, alpha: float) -> Outcomes:
     if np.count_nonzero(normal):
         crit = np.where(normal, -special.ndtri(alpha), crit)
         p = np.where(normal, special.ndtr(-stat), p)
-    extra = {"t0": t0, "t1_raw": raw, "t1_normalized": normalized, "approx": approx}
-    masks = (k2 <= 0.0, out_of_range)
-    reasons = (
-        ("DegenerateVariance", "estimated null variance is not positive"),
-        ("FloatRange", "cumulant match outside the float range"),
-    )
-    return _outcomes("gs", alpha, stat, crit, p, masks, reasons, extra, _gs_fields)
+    extra = dict(t0=t0, t1_raw=raw, t1_normalized=normalized, approx=approx, scale=m.scale)
+    reasons = (("DegenerateVariance", "estimated null variance is not positive"),)
+    return _outcomes("gs", alpha, stat, crit, p, (k2 <= 0.0,), reasons, extra, _gs_fields)
 
 
 def _gs_fields(x: dict, r) -> dict:
@@ -407,6 +389,8 @@ def _gs_fields(x: dict, r) -> dict:
         details["skipped_coordinates"] = skipped
     if approx.normal_fallback:
         details["normal_fallback"] = True
+    if x["scale"][r] != 1.0:  # the raw fields are in units of phi / scale
+        details["scale"] = float(x["scale"][r])
     components = {"t0": float(t0["value"][r]), "t1_normalized": float(x["t1_normalized"][r])}
     return {"components": components, "approx": approx, "details": details}
 
@@ -435,9 +419,6 @@ def _wald_outcomes(m: SampleMoments, alpha: float) -> Outcomes:
         nan = np.full(lead, math.nan)
         reasons = (("SingularCovariance", f"K={K} >= S={S}"),)
         return _outcomes("wald", alpha, nan, nan, nan, (np.ones(lead, dtype=bool),), reasons)
-    # a variance outside the normal float range, unless a constant column's 0
-    variances = np.diagonal(m.cov, axis1=-2, axis2=-1)
-    out_of_range = ~(_normal(variances) | (m.diag == 0.0)).all(axis=-1)
     singular = np.zeros(lead, dtype=bool)
     try:
         chol = np.linalg.cholesky(m.cov)
@@ -453,7 +434,7 @@ def _wald_outcomes(m: SampleMoments, alpha: float) -> Outcomes:
     ill = ill < WALD_MIN_RCOND
     z = np.full(m.mean.shape, math.nan)
     zs, factors, means = z.reshape(-1, K), chol.reshape(-1, K, K), m.mean.reshape(-1, K)
-    for r, solvable in enumerate(np.ravel(~(out_of_range | singular | ill)).tolist()):
+    for r, solvable in enumerate(np.ravel(~(singular | ill)).tolist()):
         if solvable:
             # the LAPACK call of scipy.linalg.solve_triangular on a C-ordered
             # lower factor: its transpose is an F-ordered upper one, solved
@@ -468,9 +449,8 @@ def _wald_outcomes(m: SampleMoments, alpha: float) -> Outcomes:
     f_crit = float(special.fdtri(dfn, dfd, 1.0 - alpha))
     crit = np.full(lead, f_crit * K * (S - 1) / ((S - K) * S**1.5))
     extra = {"hotelling_t2": t2, "f_statistic": f_stat, "df": (dfn, dfd)}
-    masks = (out_of_range, singular, ill)
+    masks = (singular, ill)
     reasons = (
-        ("FloatRange", "covariance outside the float range"),
         ("SingularCovariance", "covariance not positive definite"),
         ("SingularCovariance", "covariance condition number too large"),
     )
@@ -501,11 +481,15 @@ def _cq_outcomes(m: SampleMoments, alpha: float) -> Outcomes:
     crit = np.full(stat.shape, -special.ndtri(alpha))
     p = special.ndtr(-stat)
     reasons = (("DegenerateVariance", "estimated null variance is not positive"),)
-    return _outcomes("cq", alpha, stat, crit, p, (k2 <= 0.0,), reasons, {"u": raw}, _cq_fields)
+    extra = {"u": raw, "scale": m.scale}
+    return _outcomes("cq", alpha, stat, crit, p, (k2 <= 0.0,), reasons, extra, _cq_fields)
 
 
 def _cq_fields(x: dict, r) -> dict:
-    return {"details": {"u_statistic": float(x["u"][r])}}
+    details = {"u_statistic": float(x["u"][r])}
+    if x["scale"][r] != 1.0:  # u is in units of (phi / scale)^2
+        details["scale"] = float(x["scale"][r])
+    return {"details": details}
 
 
 def cq_test(phi, alpha: float = 0.05) -> TestReport:
@@ -522,7 +506,7 @@ def outcomes_from_moments(m: SampleMoments, alpha: float, tests) -> list[Outcome
     unknown = [t for t in tests if t not in TESTS]
     if unknown:
         raise ValueError(f"unknown tests: {unknown}; choose from {sorted(TESTS)}")
-    # a sample outside the float range overflows here; its tests are tagged
+    # constant or overflowed samples give nan and inf here; their tests are tagged
     with np.errstate(all="ignore"):
         return [TESTS[t](m, alpha) for t in tests]
 

@@ -191,6 +191,26 @@ def test_non_finite_data_cell_exits_two(tmp_path, dataset_csv, capsys, command):
     assert "d.csv:6: non-finite value" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "target", [["--target", "target"], ["--target", "y"], []], ids=["target", "absent", "none"]
+)
+def test_explain_drops_the_target_column_only_if_present(tmp_path, dataset_csv, target):
+    data_path, groups_path, _ = dataset_csv
+    model_path = tmp_path / "m.model"
+    assert main(["train", "--data", str(data_path), "--target", "target",
+                 "--out", str(model_path), "--n-trees", "3"]) == 0
+    features_path = tmp_path / "features.csv"
+    with open(data_path) as src, open(features_path, "w") as dst:
+        for line in src:  # the target is the last column
+            dst.write(line.rsplit(",", 1)[0] + "\n")
+    outs = []
+    for path in (data_path, features_path):
+        outs.append(tmp_path / f"shap_{path.stem}.csv")
+        assert main(["explain", "--model", str(model_path), "--data", str(path), *target,
+                     "--groups", str(groups_path), "--out", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def _explain_argv(tmp_path, dataset_csv, **paths):
     """A working train+explain pair of argument lists, with any path replaced."""
     data_path, groups_path, _ = dataset_csv
@@ -438,6 +458,51 @@ def test_simulate_writes_diagnostics_beside_the_tables(tmp_path, capsys):
     assert f"wrote {out / 'diagnostics.csv'}" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("sigma2", [2.0**998, 2.0**-1000])
+def test_simulate_sigma2_at_the_ends_of_the_float_range(tmp_path, sigma2):
+    # every test is scale invariant: sigma2 = 4 * 2^(2j) scales each sample
+    # by exactly 2^j
+    def run(value, out):
+        assert main(["simulate", "size", "--models", "normal", "--k", "5,30", "--s", "20",
+                     "--rho", "0.2", "--reps", "30", "--seed", "7", "--sigma2", repr(value),
+                     "--out", str(out)]) == 0
+        with open(out / "size_table.csv") as fh:
+            return [(r["test"], r["rejection_rate"]) for r in csv.DictReader(fh)]
+
+    assert run(sigma2, tmp_path / "x") == run(4.0, tmp_path / "four")
+    header = (tmp_path / "x" / "diagnostics.csv").read_text().splitlines()[0]
+    assert [c for c in header.split(",") if c.startswith("degenerate_")] == [
+        "degenerate_wald_SingularCovariance"  # K = 30 >= S = 20
+    ]
+
+
+def test_simulate_with_no_rate_exits_three(tmp_path, capsys):
+    # K >= S: Wald is degenerate in every replication of every cell
+    out = tmp_path / "w"
+    assert main(["simulate", "size", "--tests", "wald", "--k", "100", "--s", "50",
+                 "--reps", "5", "--seed", "1", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "every requested test was degenerate in every replication\n"
+    for name in ("size_table.csv", "size_table.txt", "are.csv", "diagnostics.csv"):
+        assert f"wrote {out / name}" in captured.out and (out / name).exists(), name
+    assert (out / "run.json").exists()
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--models", "normal,skewed,normal"), ("--k", "20,20"), ("--s", "50,30,50"),
+     ("--rho", "0.2,0.20"), ("--alternatives", "sparse,sparse")],
+)
+def test_repeated_grid_value_exits_one(tmp_path, capsys, flag, value):
+    # repeated values would run cells that share one key, and the tables
+    # would show only the last of them
+    kind = "power" if flag == "--alternatives" else "size"
+    out = tmp_path / "out"
+    assert main(["simulate", kind, flag, value, "--reps", "5", "--out", str(out)]) == 1
+    assert f"{flag} {value!r}: each value may be named once" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_power_writes_power_table(tmp_path):
     assert main(["simulate", "power", "--models", "normal", "--k", "5", "--s", "30",
                  "--reps", "40", "--seed", "3", "--tests", "gs",
@@ -521,17 +586,26 @@ def test_cli_import_does_not_load_scipy_stats():
 
 
 def test_attributions_beyond_the_float_range_are_degenerate_without_warnings(tmp_path):
-    # a fresh interpreter, so that numpy's warnings would reach its stderr
-    path = tmp_path / "shap.csv"
-    values = 1e200 * np.random.default_rng(3).normal(size=(30, 2))
-    ShapMatrix(values, np.zeros(30), ["a", "b"]).to_csv(path)
-    proc = subprocess.run(
-        [sys.executable, "-m", "groupshap.cli", "test", "--shap", str(path), "--tests", "gs,wald,cq"],
-        capture_output=True, text=True, env=_child_env(),
-    )
-    assert proc.returncode == 3, proc.stderr
-    assert "Warning" not in proc.stderr
-    assert proc.stdout.count("FloatRange") == 6
+    # a fresh interpreter, so that numpy's warnings would reach its stderr;
+    # every test is scale invariant, so 1e200 gives the unit-scale statistics
+    values = np.random.default_rng(3).normal(size=(30, 2))
+    reports = {}
+    for name, scale in (("unit", 1.0), ("big", 1e200)):
+        path = tmp_path / f"{name}.csv"
+        ShapMatrix(scale * values, np.zeros(30), ["a", "b"]).to_csv(path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "groupshap.cli", "test", "--shap", str(path),
+             "--tests", "gs,wald,cq", "--format", "csv"],
+            capture_output=True, text=True, env=_child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Warning" not in proc.stderr
+        reports[name] = list(csv.DictReader(io.StringIO(proc.stdout)))
+    assert len(reports["big"]) == 6
+    for got, want in zip(reports["big"], reports["unit"]):
+        assert got["degenerate"] == want["degenerate"] == ""
+        for field in ("statistic", "p_value"):
+            assert math.isclose(float(got[field]), float(want[field]), rel_tol=1e-9)
 
 
 # --------------------------------------------------------------------------

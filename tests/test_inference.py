@@ -508,37 +508,79 @@ def test_scale_invariance_of_decisions(c, seed):
 
 @pytest.mark.parametrize("scale", [1e-100, 1e-40, 1e30, 1e60, 1e100, 1e160])
 def test_scale_outside_the_float_range_is_degenerate_not_an_error(scale):
-    # GS cumulants are degree 6 in phi: they underflow or overflow first
-    phi = np.random.default_rng(5).normal(size=(30, 3)) * scale
-    assert gs_test(phi).degenerate == "FloatRange"
-    m = moments(phi)
-    with pytest.raises(OverflowError):
-        chi_sq_approx(m)
-    # T1's variance is degree 4: normal floats from about 1e-77 to 1e77
-    if 1e-75 < scale < 1e75:
-        t1 = t1_statistic(m)
-        assert all(map(math.isfinite, (t1.raw, t1.normalized, t1.k2_hat)))
-    else:
-        with pytest.raises(OverflowError):
-            t1_statistic(m)
-    for rep in group_joint_test(phi, FeatureGrouping.singletons(3), tests=("gs", "wald", "cq")):
-        assert rep.degenerate or math.isfinite(rep.statistic) and math.isfinite(rep.p_value)
+    # moments divides such a sample by a power of two, which is exact, so
+    # every test gives the unit-scale result
+    unit = np.random.default_rng(5).normal(size=(30, 3))
+    phi = unit * scale
+    m, m_unit = moments(phi), moments(unit)
+    assert m_unit.scale == 1.0
+    mantissa, _ = math.frexp(m.scale)
+    peak = np.abs(phi - phi.mean(axis=0)).max() / m.scale
+    assert mantissa == 0.5 and 0.5 <= peak < 1.0
+    assert math.isclose(t1_statistic(m).normalized, t1_statistic(m_unit).normalized, rel_tol=1e-9)
+    assert math.isclose(chi_sq_approx(m).d, chi_sq_approx(m_unit).d, rel_tol=1e-9)
+    grouping = FeatureGrouping.singletons(3)
+    want = group_joint_test(unit, grouping, tests=ALL_TESTS)
+    got = group_joint_test(phi, grouping, tests=ALL_TESTS)
+    for rep, ref in zip(got, want):
+        assert rep.degenerate is None, (rep.test, rep.group)
+        for name in ("statistic", "p_value"):
+            assert math.isclose(getattr(rep, name), getattr(ref, name), rel_tol=1e-9)
+    # GS and CQ name the scale of their raw fields, and only where it is not 1
+    assert [("scale" in rep.details) for rep in got] == [rep.test != "wald" for rep in got]
+    assert not any("scale" in rep.details for rep in want)
+    assert gs_test(phi).details["scale"] == cq_test(phi).details["scale"] == m.scale
 
 
 @pytest.mark.parametrize("seed,S,K", [(5, 30, 3), (1, 12, 4), (2, 50, 20), (3, 300, 5), (4, 8, 1)])
 def test_every_scale_is_degenerate_or_the_unit_scale_result(seed, S, K):
-    # all three tests are scale invariant: a report at 10^k either matches the
-    # unit-scale one or says that the sample left the float range
+    # all three tests are scale invariant: a report at 10^k is that of the
+    # same sample divided by an exact power of two to unit spread (a
+    # subnormal sample is a different sample from the unit-scale one)
     phi = np.random.default_rng(seed).normal(size=(S, K))
     scales = 10.0 ** np.arange(-323, 308)
-    unit = run_tests_from_moments(moments(phi), 0.05, ALL_TESTS)
-    stacked = outcomes_from_moments(moments(phi * scales[:, None, None]), 0.05, ALL_TESTS)
-    for want, o in zip(unit, stacked):
-        assert want.degenerate is None and o.flag[scales == 1.0] == 0
-        for r in np.flatnonzero(o.flag == 0):
+    stack = phi * scales[:, None, None]
+    stacked = outcomes_from_moments(moments(stack), 0.05, ALL_TESTS)
+    for r, sample in enumerate(stack):
+        exponent = math.frexp(np.abs(sample).max())[1]
+        want = run_tests_from_moments(moments(np.ldexp(sample, -exponent)), 0.05, ALL_TESTS)
+        for o, ref in zip(stacked, want):
+            rep = o.report(r)
+            assert ref.degenerate is None
+            if scales[r] > 1e306:  # column sums may overflow
+                assert rep.degenerate in (None, "FloatRange")
+                if rep.degenerate:
+                    continue
+            assert rep.degenerate is None, (o.test, scales[r])
             for name in ("statistic", "p_value"):
-                got = float(getattr(o, name)[r])
-                assert math.isclose(got, getattr(want, name), rel_tol=1e-9), (o.test, scales[r], name)
+                got = getattr(rep, name)
+                assert math.isclose(got, getattr(ref, name), rel_tol=1e-9), (o.test, scales[r], name)
+
+
+def test_scale_stays_finite_at_the_top_of_the_float_range(rng):
+    # one entry above 2^1023, where 2^1024 would overflow to inf
+    phi = rng.normal(size=(30, 3))
+    phi[0, 0] = 1.7e308
+    assert moments(phi).scale == 2.0**1023
+    for test in (gs_test, cq_test):
+        rep, ref = test(phi), test(np.ldexp(phi, -1000))
+        assert rep.details["scale"] == 2.0**1023
+        assert math.isclose(rep.statistic, ref.statistic, rel_tol=1e-9)
+
+
+def test_columns_2_to_the_600_apart_leave_wald_singular(rng):
+    # the small column's squares underflow to zero at the large column's
+    # scale: its variance is 0, so the covariance is singular, while GS and
+    # CQ test the sample's spread, all of it in the large column
+    phi = rng.normal(size=(40, 2))
+    phi[:, 1] = np.ldexp(phi[:, 1], -600)
+    gs, wald, cq = run_tests_from_moments(moments(phi), 0.05, ALL_TESTS)
+    assert gs.degenerate is None and cq.degenerate is None
+    assert math.isfinite(gs.statistic) and math.isfinite(cq.statistic)
+    assert gs.details["skipped_coordinates"] == (1,)
+    assert wald.degenerate == "SingularCovariance"
+    unit = run_tests_from_moments(moments(phi[:, :1]), 0.05, ("cq",))[0]
+    assert math.isclose(cq.statistic, unit.statistic, rel_tol=1e-9)
 
 
 @given(st.integers(0, 2**31 - 1))
