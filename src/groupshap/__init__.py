@@ -6,7 +6,6 @@ from .errors import (
     AREUnavailable,
     CoalitionBudgetExceeded,
     DegenerateConcentration,
-    DegenerateVariance,
     GroupingError,
     GroupShapError,
     InvalidCorrelation,
@@ -32,13 +31,10 @@ from .inference import (
     ChiSqApprox,
     SampleMoments,
     TestReport,
-    chi_sq_approx,
     cq_test,
     group_joint_test,
     gs_test,
     moments,
-    t0_statistic,
-    t1_statistic,
     wald_test,
 )
 from .shapley import (

@@ -23,7 +23,6 @@ from . import __version__
 from .errors import (
     AREUnavailable,
     DegenerateConcentration,
-    DegenerateVariance,
     GroupShapError,
     SampleTooSmall,
 )
@@ -65,7 +64,6 @@ EXIT_DEGENERATE = 3
 
 _DEGENERATE_ERRORS = (
     SampleTooSmall,
-    DegenerateVariance,
     AREUnavailable,
     DegenerateConcentration,
 )

@@ -49,10 +49,6 @@ class SampleTooSmall(GroupShapError):
     """Too few observations for the requested statistic."""
 
 
-class DegenerateVariance(GroupShapError):
-    """All-constant data: variance estimates vanish."""
-
-
 class InvalidCorrelation(GroupShapError, ValueError):
     """Compound-symmetry correlation outside [0, 1); a bad argument value,
     hence also a ValueError."""

@@ -210,9 +210,9 @@ class _Tally:
             # a test's flags depend on K and S alone, which the cell fixes
             self.reasons[o.test] = o.flags
             if o.test == "gs":
-                self.n_screened[start:stop] = o.extra["t0"]["n_screened"]
-                self.fallback[start:stop] = o.extra["approx"]["normal_fallback"]
-                self.d[start:stop] = o.extra["approx"]["d"]
+                self.n_screened[start:stop] = o.extra["n_screened"]
+                self.fallback[start:stop] = o.extra["normal_fallback"]
+                self.d[start:stop] = o.extra["d"]
 
     def result(self) -> tuple[list[CellResult], CellDiagnostics]:
         spec, n = self.spec, self.spec.replications

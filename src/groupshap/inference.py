@@ -14,6 +14,13 @@ replications is one pass, and one sample's quantities are numpy scalars.
 Every test is scale invariant, and moments brings a sample of extreme scale
 to unit scale by an exact power of two, so each test gives the unit-scale
 result, to rounding, wherever in the float range the sample lies.
+
+A test's result is read in one place: a TestReport, or for a stack its
+Outcomes. GS reports its parts there too: the screening term T0 and the
+normalized T1 as components, the raw T1, the screen's cutoff and count as
+details, and the three-cumulant chi-square match as approx. A sample a test
+cannot run on gets a degenerate tag, not an exception; only malformed input
+raises.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from functools import cached_property
 import numpy as np
 from scipy import linalg, special
 
-from .errors import DegenerateVariance, SampleTooSmall, ShapeError
+from .errors import SampleTooSmall, ShapeError
 from .shapley import FeatureGrouping
 
 WALD_MIN_RCOND = 1e-13
@@ -61,17 +68,16 @@ class SampleMoments:
 
     @cached_property
     def t1(self) -> tuple:
-        """The T1Stat fields raw, normalized and k2_hat, per sample; GS and
-        CQ share them. k2_hat <= 0 marks a degenerate sample."""
+        """The trace-centered squared mean norm raw, its variance-normalized
+        form raw / sqrt(k2_hat), and k2_hat, per sample; GS and CQ share them.
+
+        raw = ||mean||^2 - tr(cov)/S equals the pairwise U-statistic
+        [S(S-1)]^-1 sum_{i!=j} phi_i' phi_j identically, so its null
+        expectation is zero. k2_hat <= 0 marks a degenerate sample.
+        """
         raw = np.vecdot(self.mean, self.mean) - self.tr1 / self.S
         k2 = 2.0 * self.tr2_hat / (self.S * (self.S - 1))
         return raw, raw / np.sqrt(k2), k2
-
-
-def _one_sample(m: SampleMoments) -> SampleMoments:
-    if m.mean.ndim != 1:
-        raise ShapeError(f"expected the moments of one S x K sample, got a stack of {len(m.mean)}")
-    return m
 
 
 def _as_phi(phi, stacked: bool = False) -> np.ndarray:
@@ -100,79 +106,58 @@ def moments(phi) -> SampleMoments:
     stack.
 
     The tr(Sigma^3) estimator's constant has roots at S=3, hence S >= 4.
-    A sample whose largest |centered entry| lies outside [2^-32, 2^32) is
-    divided, exactly, by the power of two that brings that entry into
-    [0.5, 1) ([0.5, 2) above 2^1023), and centered again; scale records the
-    divisor. Only where the mean or the centering overflows (entries near
-    finfo.max) can a statistic leave the float range.
+    A sample whose largest |entry| lies outside [2^-32, 2^32) is divided,
+    exactly and before its mean is taken, by the power of two that brings
+    that entry into [0.5, 1) ([0.5, 2) above 2^1023); scale records the
+    divisor. So no sum overflows, and the statistics are finite at every
+    scale.
     """
     phi = _as_phi(phi, stacked=True)
     *lead, S, K = phi.shape
     if S <= 3:
         raise SampleTooSmall(f"need S >= 4 observations, got {S}")
-    with np.errstate(all="ignore"):  # sums and differences overflow near finfo.max
-        mean = phi.mean(axis=-2)
-        centered = phi - mean[..., None, :]
-        peak = np.abs(centered).max(axis=(-2, -1), initial=0.0)
-        # A sample inside the band keeps scale 1, and so every bit: C pow is not
-        # scale-equivariant in the last bit. Without this normalisation GS ran for
-        # unit-normal samples scaled by 2^-80 to 2^84 on every shape tried, so the
-        # band leaves at least 45 binary orders of scale before its degree-12 terms
-        # k2^3 and k3^2 leave the float range. frexp's exponent is 0 at 0, inf and
-        # nan (constant and overflowed samples); capped at 1023, scale stays finite.
-        inside = (peak >= 2.0**-32) & (peak < 2.0**32)
-        exponent = np.where(inside, 0, np.minimum(np.frexp(peak)[1], 1023))
-        if np.count_nonzero(exponent):
-            # centered again, for a full-precision mean of subnormal samples
-            phi = np.ldexp(phi, -exponent[..., None, None])
-            mean = phi.mean(axis=-2)
-            centered = phi - mean[..., None, :]
-        diag = (centered * centered).sum(axis=-2) / (S - 1)
-        # traces on the smaller of the S x S Gram and the K x K covariance matrix:
-        # both have the same nonzero spectrum
-        gram = S <= K
-        transposed = centered.swapaxes(-1, -2)
-        # both products go to BLAS syrk, which fills one triangle and mirrors it,
-        # so a is exactly symmetric
-        a = (centered @ transposed if gram else transposed @ centered) / (S - 1)
-        tr1 = np.trace(a, axis1=-2, axis2=-1)
-        t2 = (a * a).reshape(*lead, -1).sum(axis=-1)
-        t3 = ((a @ a) * a).reshape(*lead, -1).sum(axis=-1)
-        tr2_hat = (S - 1) ** 2 / ((S - 2) * (S + 1)) * (t2 - _pow(tr1, 2) / (S - 1))
-        tr3_hat = (
-            (S - 1) ** 4
-            / ((S**2 + S - 6) * (S**2 - 2 * S - 3))
-            * (t3 - 3 * tr1 * t2 / (S - 1) + 2 * _pow(tr1, 3) / (S - 1) ** 2)
-        )
+    peak = np.abs(phi).max(axis=(-2, -1), initial=0.0)
+    # A sample inside the band keeps scale 1, and so every bit: C pow is not
+    # scale-equivariant in the last bit. Without this normalisation GS ran for
+    # unit-normal samples scaled by 2^-80 to 2^84 on every shape tried, so the
+    # band leaves at least 45 binary orders of scale before its degree-12 terms
+    # k2^3 and k3^2 leave the float range. frexp's exponent is 0 at 0 (a zero
+    # sample); capped at 1023, scale stays finite.
+    inside = (peak >= 2.0**-32) & (peak < 2.0**32)
+    exponent = np.where(inside, 0, np.minimum(np.frexp(peak)[1], 1023))
+    if np.count_nonzero(exponent):
+        phi = np.ldexp(phi, -exponent[..., None, None])
+    mean = phi.mean(axis=-2)
+    centered = phi - mean[..., None, :]
+    diag = (centered * centered).sum(axis=-2) / (S - 1)
+    # traces on the smaller of the S x S Gram and the K x K covariance matrix:
+    # both have the same nonzero spectrum
+    gram = S <= K
+    transposed = centered.swapaxes(-1, -2)
+    # both products go to BLAS syrk, which fills one triangle and mirrors it,
+    # so a is exactly symmetric
+    a = (centered @ transposed if gram else transposed @ centered) / (S - 1)
+    tr1 = np.trace(a, axis1=-2, axis2=-1)
+    t2 = (a * a).reshape(*lead, -1).sum(axis=-1)
+    t3 = ((a @ a) * a).reshape(*lead, -1).sum(axis=-1)
+    tr2_hat = (S - 1) ** 2 / ((S - 2) * (S + 1)) * (t2 - _pow(tr1, 2) / (S - 1))
+    tr3_hat = (
+        (S - 1) ** 4
+        / ((S**2 + S - 6) * (S**2 - 2 * S - 3))
+        * (t3 - 3 * tr1 * t2 / (S - 1) + 2 * _pow(tr1, 3) / (S - 1) ** 2)
+    )
     scale = np.ldexp(1.0, exponent)
     return SampleMoments(mean, S, tr1, tr2_hat, tr3_hat, diag, None if gram else a, scale)
 
 
 @dataclass
-class T1Stat:
-    raw: float  # ||mean||^2 - tr(cov)/S == mean pairwise inner product
-    normalized: float  # raw / sqrt(estimated null variance)
-    k2_hat: float
-
-
-def t1_statistic(m: SampleMoments) -> T1Stat:
-    """Trace-centered squared mean norm, plus its variance-normalized form.
-
-    raw equals the pairwise U-statistic [S(S-1)]^-1 sum_{i!=j} phi_i' phi_j
-    identically; the centering tr(cov)/S makes its null expectation zero.
-    """
-    with np.errstate(all="ignore"):
-        raw, normalized, k2 = _one_sample(m).t1
-    if k2 <= 0.0:
-        raise DegenerateVariance("estimated null variance is not positive")
-    if not all(map(math.isfinite, (raw, normalized, k2))):
-        raise OverflowError("trace statistic outside the float range")
-    return T1Stat(raw=float(raw), normalized=float(normalized), k2_hat=float(k2))
-
-
-@dataclass
 class ChiSqApprox:
-    """Parameters of the matched reference beta0 + beta1 * chisq(d)."""
+    """Parameters of the matched reference beta0 + beta1 * chisq(d).
+
+    k3 = 0 (no estimated skewness) degrades to the normal reference, the
+    d -> infinity limit, as does a d whose F quantile is not finite;
+    normal_fallback records either.
+    """
 
     beta0: float
     beta1: float
@@ -182,62 +167,16 @@ class ChiSqApprox:
     normal_fallback: bool = False
 
 
-def _chi_sq(m: SampleMoments, k2) -> dict:
-    """The ChiSqApprox fields d, k2_hat, k3_hat and normal_fallback per
-    sample. beta0 and beta1 only go into reports: _approx computes them."""
-    S = m.S
-    k3 = 8.0 * (S - 2) * m.tr3_hat / (S**2 * (S - 1) ** 2)
-    # 8 * (a / b) has the bits of 8 * a / b; inf at k3 = 0, as k2^3 > 0 after scaling
-    d = 8.0 * (_pow(k2, 3) / _pow(k3, 2))
-    return {"d": d, "k2_hat": k2, "k3_hat": k3, "normal_fallback": k3 == 0.0}
-
-
-def _approx(approx: dict, r=()) -> ChiSqApprox:
-    """Sample r's ChiSqApprox."""
-    k2, k3 = float(approx["k2_hat"][r]), float(approx["k3_hat"][r])
-    beta0 = beta1 = math.nan
-    if k3 != 0.0:
-        beta0, beta1 = -2.0 * k2**2 / k3, k3 / (4.0 * k2)
-    d, fallback = float(approx["d"][r]), bool(approx["normal_fallback"][r])
-    return ChiSqApprox(beta0, beta1, d, k2, k3, fallback)
-
-
-def chi_sq_approx(m: SampleMoments) -> ChiSqApprox:
-    """Match the first three null cumulants to a shifted, scaled chi-square.
-
-    k3 = 0 (no estimated skewness) degrades to the normal reference, the
-    d -> infinity limit; the fallback is recorded on the result.
-    """
-    with np.errstate(all="ignore"):
-        k2 = _one_sample(m).t1[2]
-        approx = _chi_sq(m, k2)
-    if k2 <= 0.0:
-        raise DegenerateVariance("estimated null variance is not positive")
-    if not (math.isfinite(k2) and math.isfinite(approx["k3_hat"])):
-        raise OverflowError("cumulant match outside the float range")
-    return _approx(approx)
-
-
-@dataclass
-class T0Stat:
-    """Screening sum of studentized squared means above the sparse cutoff."""
-
-    value: float
-    delta: float
-    cutoff: float
-    n_screened: int
-    skipped: tuple[int, ...]  # zero-variance coordinates left out
-
-
 def _t0(m: SampleMoments) -> dict:
-    """The T0Stat fields per sample, with in place of skipped the mask of
-    positive-variance coordinates (shaped like mean)."""
+    """The screening term T0, the sum of the studentized squared means
+    h = S mean^2 / var that reach the sparse cutoff, times sqrt(K), per
+    sample; with the report fields screen_cutoff and n_screened, and the
+    mask of positive-variance coordinates (zero-variance ones are skipped)."""
     if m.S <= math.e:
         raise SampleTooSmall("screening cutoff needs S >= 3")
     # ln K floored at ln 2: at K = 1 the literal cutoff would be zero and the
     # screen would fire on any data, destroying the null calibration.
-    delta = math.log(math.log(m.S)) ** 2 * math.log(max(m.K, 2))
-    cutoff = 9.0 * delta
+    cutoff = 9.0 * (math.log(math.log(m.S)) ** 2 * math.log(max(m.K, 2)))
     positive = m.diag > 0.0
     h = m.S * m.mean**2 / m.diag
     fired = positive & (h >= cutoff)
@@ -248,20 +187,8 @@ def _t0(m: SampleMoments) -> dict:
         rows, fired_rows, sums = h.reshape(-1, m.K), fired.reshape(-1, m.K), total.reshape(-1)
         for r in np.flatnonzero(n_screened):
             sums[r] = rows[r, fired_rows[r]].sum()
-    return {"value": math.sqrt(m.K) * total, "delta": delta, "cutoff": cutoff,
+    return {"t0": math.sqrt(m.K) * total, "screen_cutoff": cutoff,
             "n_screened": n_screened, "positive": positive}
-
-
-def t0_statistic(m: SampleMoments) -> T0Stat:
-    with np.errstate(all="ignore"):
-        t0 = _t0(_one_sample(m))
-    return T0Stat(
-        value=float(t0["value"]),
-        delta=t0["delta"],
-        cutoff=t0["cutoff"],
-        n_screened=int(t0["n_screened"]),
-        skipped=tuple(np.flatnonzero(~t0["positive"]).tolist()),
-    )
 
 
 @dataclass
@@ -288,8 +215,10 @@ class Outcomes:
 
     flag is 0 where the test ran, and i where it did not for the reason
     flags[i - 1] = (tag, reason). extra holds the test's other per-sample
-    values, from which fields builds the components, approx and details of a
-    TestReport.
+    values in one flat dict, under the names of the TestReport fields that
+    fields builds from them: for GS, t0 and t1_normalized (components),
+    t1_raw, screen_cutoff and n_screened (details), d, k2_hat, k3_hat and
+    normal_fallback (approx).
     """
 
     test: str
@@ -326,7 +255,8 @@ def _outcomes(test, alpha, stat, crit, p, masks, reasons, extra=None, fields=Non
     """Outcomes whose degenerate samples follow `masks`, in falling
     precedence, with the (tag, reason) pairs `reasons`. A sample none of
     them flags is tagged FloatRange if its statistic or p-value is not
-    finite, as where the mean or the centering overflowed (see moments)."""
+    finite: a safety net, as moments keeps a sample's statistics in the
+    float range at every scale."""
     # p is a probability where it is finite, so stat + p is finite exactly
     # where both are
     masks = (*masks, ~np.isfinite(stat + p))
@@ -358,40 +288,48 @@ def _gs_outcomes(m: SampleMoments, alpha: float) -> Outcomes:
     reference is used. The critical value and p-value are mapped back to the
     T scale, so reject <=> statistic >= critical_value.
     """
+    S = m.S
     raw, normalized, k2 = m.t1
-    approx = _chi_sq(m, k2)
-    t0 = _t0(m)
-    stat = t0["value"] + normalized
-    d = approx["d"]
-    dfd = (m.S - 1) * d
+    # the three-cumulant match; 8 * (a / b) has the bits of 8 * a / b, and d
+    # is inf at k3 = 0, as k2^3 > 0 after scaling
+    k3 = 8.0 * (S - 2) * m.tr3_hat / (S**2 * (S - 1) ** 2)
+    d = 8.0 * (_pow(k2, 3) / _pow(k3, 2))
+    extra = _t0(m)
+    stat = extra["t0"] + normalized
+    dfd = (S - 1) * d
     f_crit = special.fdtri(d, dfd, 1.0 - alpha)
     crit = (f_crit - 1.0) * np.sqrt(d / 2.0)
     p = special.fdtrc(d, dfd, np.maximum(1.0 + np.sqrt(2.0 / d) * stat, 0.0))
-    normal = approx["normal_fallback"] = approx["normal_fallback"] | ~np.isfinite(f_crit)
+    normal = (k3 == 0.0) | ~np.isfinite(f_crit)
     if np.count_nonzero(normal):
         crit = np.where(normal, -special.ndtri(alpha), crit)
         p = np.where(normal, special.ndtr(-stat), p)
-    extra = dict(t0=t0, t1_raw=raw, t1_normalized=normalized, approx=approx, scale=m.scale)
+    extra.update(t1_raw=raw, t1_normalized=normalized, d=d, k2_hat=k2, k3_hat=k3,
+                 normal_fallback=normal, scale=m.scale)
     reasons = (("DegenerateVariance", "estimated null variance is not positive"),)
     return _outcomes("gs", alpha, stat, crit, p, (k2 <= 0.0,), reasons, extra, _gs_fields)
 
 
 def _gs_fields(x: dict, r) -> dict:
-    approx = _approx(x["approx"], r)
-    t0 = x["t0"]
+    k2, k3 = float(x["k2_hat"][r]), float(x["k3_hat"][r])
+    beta0 = beta1 = math.nan
+    if k3 != 0.0:
+        beta0, beta1 = -2.0 * k2**2 / k3, k3 / (4.0 * k2)
+    fallback = bool(x["normal_fallback"][r])
+    approx = ChiSqApprox(beta0, beta1, float(x["d"][r]), k2, k3, fallback)
     details = {
         "t1_raw": float(x["t1_raw"][r]),
-        "screen_cutoff": t0["cutoff"],
-        "n_screened": int(t0["n_screened"][r]),
+        "screen_cutoff": x["screen_cutoff"],
+        "n_screened": int(x["n_screened"][r]),
     }
-    skipped = tuple(np.flatnonzero(~t0["positive"][r]).tolist())
+    skipped = tuple(np.flatnonzero(~x["positive"][r]).tolist())
     if skipped:
         details["skipped_coordinates"] = skipped
-    if approx.normal_fallback:
+    if fallback:
         details["normal_fallback"] = True
     if x["scale"][r] != 1.0:  # the raw fields are in units of phi / scale
         details["scale"] = float(x["scale"][r])
-    components = {"t0": float(t0["value"][r]), "t1_normalized": float(x["t1_normalized"][r])}
+    components = {"t0": float(x["t0"][r]), "t1_normalized": float(x["t1_normalized"][r])}
     return {"components": components, "approx": approx, "details": details}
 
 
@@ -481,12 +419,12 @@ def _cq_outcomes(m: SampleMoments, alpha: float) -> Outcomes:
     crit = np.full(stat.shape, -special.ndtri(alpha))
     p = special.ndtr(-stat)
     reasons = (("DegenerateVariance", "estimated null variance is not positive"),)
-    extra = {"u": raw, "scale": m.scale}
+    extra = {"u_statistic": raw, "scale": m.scale}
     return _outcomes("cq", alpha, stat, crit, p, (k2 <= 0.0,), reasons, extra, _cq_fields)
 
 
 def _cq_fields(x: dict, r) -> dict:
-    details = {"u_statistic": float(x["u"][r])}
+    details = {"u_statistic": float(x["u_statistic"][r])}
     if x["scale"][r] != 1.0:  # u is in units of (phi / scale)^2
         details["scale"] = float(x["scale"][r])
     return {"details": details}
@@ -506,14 +444,16 @@ def outcomes_from_moments(m: SampleMoments, alpha: float, tests) -> list[Outcome
     unknown = [t for t in tests if t not in TESTS]
     if unknown:
         raise ValueError(f"unknown tests: {unknown}; choose from {sorted(TESTS)}")
-    # constant or overflowed samples give nan and inf here; their tests are tagged
+    # constant samples give nan and inf here; their tests are tagged
     with np.errstate(all="ignore"):
         return [TESTS[t](m, alpha) for t in tests]
 
 
 def run_tests_from_moments(m: SampleMoments, alpha: float, tests) -> list[TestReport]:
     """Reports of several tests on the moments of one sample."""
-    return [o.report() for o in outcomes_from_moments(_one_sample(m), alpha, tests)]
+    if m.mean.ndim != 1:
+        raise ShapeError(f"expected the moments of one S x K sample, got a stack of {len(m.mean)}")
+    return [o.report() for o in outcomes_from_moments(m, alpha, tests)]
 
 
 def group_joint_test(

@@ -318,18 +318,15 @@ def reference_train_gbm(data, n_trees=100, max_depth=3, learning_rate=0.1, min_s
 def reference_moments(phi):
     """Moments of one S x K sample, as the library computed them one
     replication at a time before the statistics were stacked, of the sample
-    divided by the power of two that brings its largest |centered entry|
-    into [0.5, 1) where that entry lies outside [2^-32, 2^32), and centered
-    again."""
+    divided by the power of two that brings its largest |entry| into
+    [0.5, 1) where that entry lies outside [2^-32, 2^32)."""
     phi = np.asarray(phi, dtype=float)
     S, K = phi.shape
-    mean = phi.mean(axis=0)
-    centered = phi - mean
-    peak = float(np.abs(centered).max())
+    peak = float(np.abs(phi).max())
     if not 2.0**-32 <= peak < 2.0**32:
         phi = np.ldexp(phi, -math.frexp(peak)[1])
-        mean = phi.mean(axis=0)
-        centered = phi - mean
+    mean = phi.mean(axis=0)
+    centered = phi - mean
     diag = (centered * centered).sum(axis=0) / (S - 1)
     gram = S <= K
     a = (centered @ centered.T if gram else centered.T @ centered) / (S - 1)

@@ -19,7 +19,7 @@ from groupshap.experiments import (
     run_power_grid,
     run_size_grid,
 )
-from groupshap.inference import chi_sq_approx, cq_test, gs_test, moments, t1_statistic, wald_test
+from groupshap.inference import cq_test, gs_test, moments, outcomes_from_moments, wald_test
 from groupshap.shapley import FeatureGrouping, base_value, exact_group_shapley, tree_group_shap
 from groupshap.simgen import SimSpec, ZModel, draw_z, generate, replication_rng
 
@@ -192,7 +192,7 @@ def test_criterion_5_identity_suite():
         S = int(rng.integers(4, 30))
         K = int(rng.integers(1, 10))
         phi = rng.normal(size=(S, K)) * rng.uniform(0.2, 5.0)
-        raw = t1_statistic(moments(phi)).raw
+        raw = gs_test(phi).details["t1_raw"]
         total = 0.0
         for i in range(S):
             for j in range(S):
@@ -206,7 +206,7 @@ def test_criterion_5_identity_suite():
     worst_resid = 0.0
     for _ in range(100):
         phi = rng.normal(size=(int(rng.integers(5, 40)), int(rng.integers(1, 8))))
-        a = chi_sq_approx(moments(phi))
+        a = gs_test(phi).approx
         if a.normal_fallback:
             continue
         worst_resid = max(
@@ -217,16 +217,17 @@ def test_criterion_5_identity_suite():
     ok_match = worst_resid <= 1e-12
     _report("criterion 5 [cumulant match]", ok_match, f"max back-substitution residual {worst_resid:.3g}")
 
-    reps = 100_000
+    reps, block = 100_000, 10_000
     S = 50
     root = np.diag([1.0, math.sqrt(2.0)])
     t2s = np.empty(reps)
     t3s = np.empty(reps)
     mc = np.random.default_rng(MASTER_SEED + 11)
-    for r in range(reps):
-        m = moments(mc.standard_normal((S, 2)) @ root)
-        t2s[r] = m.tr2_hat
-        t3s[r] = m.tr3_hat
+    # a block of stacked samples draws what as many single draws would
+    for start in range(0, reps, block):
+        m = moments(mc.standard_normal((block, S, 2)) @ root)
+        t2s[start:start + block] = m.tr2_hat
+        t3s[start:start + block] = m.tr3_hat
     ok_mc = True
     for est, truth, label in ((t2s, 5.0, "tr2"), (t3s, 9.0, "tr3")):
         se = est.std(ddof=1) / math.sqrt(reps)
@@ -241,14 +242,16 @@ def test_criterion_5_identity_suite():
 def test_criterion_6_null_calibration():
     """Kolmogorov distance between the null normalized statistic and its
     fitted shifted-scaled chi-square reference, Gaussian data, K=50, S=100."""
-    K, S, reps = 50, 100, 10_000
+    K, S, reps, block = 50, 100, 10_000, 500
     spec = SimSpec(model="normal", K=K, S=S, rho=0.0, sigma2=4.0, seed=MASTER_SEED + 20)
     tns = np.empty(reps)
     ds = np.empty(reps)
-    for r in range(reps):
-        m = moments(generate(spec, r).phi)
-        tns[r] = t1_statistic(m).normalized
-        ds[r] = chi_sq_approx(m).d
+    # replications start .. start + block - 1 as one stack, as the grid runs them
+    for start in range(0, reps, block):
+        phi = generate(spec, start, start + block).phi
+        (gs,) = outcomes_from_moments(moments(phi), ALPHA, ("gs",))
+        tns[start:start + block] = gs.extra["t1_normalized"]
+        ds[start:start + block] = gs.extra["d"]
     d_fit = float(np.median(ds))
     x = np.sort(tns)
     ref = stats.chi2.cdf(d_fit + math.sqrt(2 * d_fit) * x, d_fit)

@@ -9,18 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from groupshap.errors import DegenerateVariance, SampleTooSmall, ShapeError
+from groupshap.errors import SampleTooSmall, ShapeError
 from groupshap.inference import (
     SampleMoments,
-    chi_sq_approx,
     cq_test,
     group_joint_test,
     gs_test,
     moments,
     outcomes_from_moments,
     run_tests_from_moments,
-    t0_statistic,
-    t1_statistic,
     wald_test,
 )
 from groupshap.shapley import FeatureGrouping
@@ -94,43 +91,35 @@ def test_moments_covariance_is_symmetric_and_matches_gram_path(rng):
 
 
 def test_trace_estimators_unbiased_small_mc():
-    # oracle: true traces of Sigma = diag(1, 2); full-size check in acceptance
+    # oracle: true traces of Sigma = diag(1, 2); full-size check in acceptance.
+    # One stack draws the same 20000 samples as 20000 draws of one sample.
     reps = 20000
     root = np.diag([1.0, math.sqrt(2.0)])
     rng = np.random.default_rng(7)
-    t2s = np.empty(reps)
-    t3s = np.empty(reps)
-    for r in range(reps):
-        phi = rng.standard_normal((20, 2)) @ root
-        m = moments(phi)
-        t2s[r] = m.tr2_hat
-        t3s[r] = m.tr3_hat
+    m = moments(rng.standard_normal((reps, 20, 2)) @ root)
+    t2s, t3s = m.tr2_hat, m.tr3_hat
     for est, truth in ((t2s, 5.0), (t3s, 9.0)):
         se = est.std(ddof=1) / math.sqrt(reps)
         assert abs(est.mean() - truth) <= 3 * se
 
 
 # --------------------------------------------------------------------------
-# T1
+# T1, read from the GS report
 
 
 def test_t1_hand_example():
-    t1 = t1_statistic(moments(FIVE_POINTS))
-    assert t1.raw == pytest.approx(-0.5)
-    assert t1.k2_hat == pytest.approx(2 * (25 / 6) / 20, rel=1e-12)
-    assert t1.normalized == pytest.approx(-math.sqrt(0.6), rel=1e-9)  # -0.77460
+    rep = gs_test(FIVE_POINTS)
+    assert rep.details["t1_raw"] == pytest.approx(-0.5)
+    assert rep.approx.k2_hat == pytest.approx(2 * (25 / 6) / 20, rel=1e-12)
+    assert rep.components["t1_normalized"] == pytest.approx(-math.sqrt(0.6), rel=1e-9)  # -0.77460
 
 
 def test_t1_antithetic_rows_hit_plugin_floor(rng):
     a = rng.normal(size=(6, 3))
     phi = np.vstack([a, -a])
     m = moments(phi)
-    assert t1_statistic(m).raw == pytest.approx(-m.tr1 / 12, rel=1e-12)
-
-
-def test_t1_degenerate_on_constant_data():
-    with pytest.raises(DegenerateVariance):
-        t1_statistic(moments(np.ones((8, 2))))
+    raw = run_tests_from_moments(m, 0.05, ("gs",))[0].details["t1_raw"]
+    assert raw == pytest.approx(-m.tr1 / 12, rel=1e-12)
 
 
 def test_t1_matches_pairwise_oracle(rng):
@@ -138,23 +127,23 @@ def test_t1_matches_pairwise_oracle(rng):
         S = int(rng.integers(4, 12))
         K = int(rng.integers(1, 6))
         phi = rng.normal(size=(S, K)) * rng.uniform(0.5, 3)
-        raw = t1_statistic(moments(phi)).raw
+        raw = gs_test(phi).details["t1_raw"]
         oracle = _pairwise_u(phi)
         assert raw == pytest.approx(oracle, rel=1e-10, abs=1e-12)
 
 
 def test_t1_zero_mean_under_null():
+    # one stack draws the same 4000 samples as 4000 draws of one sample
     rng = np.random.default_rng(3)
     reps = 4000
-    raws = np.empty(reps)
-    for r in range(reps):
-        raws[r] = t1_statistic(moments(rng.standard_normal((20, 5)))).raw
+    (gs,) = outcomes_from_moments(moments(rng.standard_normal((reps, 20, 5))), 0.05, ("gs",))
+    raws = gs.extra["t1_raw"]
     se = raws.std(ddof=1) / math.sqrt(reps)
     assert abs(raws.mean()) <= 3 * se
 
 
 # --------------------------------------------------------------------------
-# chi-square approximation
+# chi-square approximation, read from the GS report
 
 
 def _synthetic_moments(S, K, tr2_hat, tr3_hat, mean=None, tr1=0.0):
@@ -164,11 +153,15 @@ def _synthetic_moments(S, K, tr2_hat, tr3_hat, mean=None, tr1=0.0):
     )
 
 
+def _gs(m):
+    return run_tests_from_moments(m, 0.05, ("gs",))[0]
+
+
 def test_cumulant_match_direct_substitution():
     # k2 = 2, k3 = 8 -> beta0 = -1, beta1 = 1, d = 1
     S = 10
     m = _synthetic_moments(S, 4, tr2_hat=S * (S - 1), tr3_hat=S**2 * (S - 1) ** 2 / (8 * (S - 2)) * 8)
-    a = chi_sq_approx(m)
+    a = _gs(m).approx
     assert a.k2_hat == pytest.approx(2.0, rel=1e-12)
     assert a.k3_hat == pytest.approx(8.0, rel=1e-12)
     assert a.beta0 == pytest.approx(-1.0, rel=1e-12)
@@ -181,7 +174,7 @@ def test_identity_covariance_closed_form(S, K):
     # exact traces of Sigma = I plugged in; closed forms derived by exact
     # fraction arithmetic from the matching equations
     m = _synthetic_moments(S, K, tr2_hat=K, tr3_hat=K)
-    a = chi_sq_approx(m)
+    a = _gs(m).approx
     k2 = Fraction(2 * K, S * (S - 1))
     k3 = Fraction(8 * (S - 2) * K, S**2 * (S - 1) ** 2)
     assert a.beta0 == pytest.approx(float(-2 * k2**2 / k3), rel=1e-12)
@@ -196,7 +189,7 @@ def test_identity_covariance_closed_form(S, K):
 def test_back_substitution_reproduces_cumulants(rng):
     for _ in range(20):
         phi = rng.normal(size=(rng.integers(5, 40), rng.integers(1, 8)))
-        a = chi_sq_approx(moments(phi))
+        a = gs_test(phi).approx
         if a.normal_fallback:
             continue
         assert 2 * a.beta1**2 * a.d == pytest.approx(a.k2_hat, rel=1e-12)
@@ -206,31 +199,30 @@ def test_back_substitution_reproduces_cumulants(rng):
 
 
 def test_skewless_fallback():
-    a = chi_sq_approx(_synthetic_moments(10, 2, tr2_hat=5.0, tr3_hat=0.0))
+    a = _gs(_synthetic_moments(10, 2, tr2_hat=5.0, tr3_hat=0.0)).approx
     assert a.normal_fallback
     assert math.isinf(a.d)
 
 
 # --------------------------------------------------------------------------
-# T0
+# T0, read from the GS report
 
 
 def test_t0_cutoff_numbers():
-    m = _synthetic_moments(300, 100, tr2_hat=1.0, tr3_hat=1.0)
-    t0 = t0_statistic(m)
-    assert t0.delta == pytest.approx(13.961, abs=5e-4)
-    assert t0.cutoff == pytest.approx(125.65, abs=5e-3)
-    assert t0.value == 0.0
+    rep = _gs(_synthetic_moments(300, 100, tr2_hat=1.0, tr3_hat=1.0))
+    # the cutoff is 9 delta
+    assert rep.details["screen_cutoff"] / 9 == pytest.approx(13.961, abs=5e-4)
+    assert rep.details["screen_cutoff"] == pytest.approx(125.65, abs=5e-3)
+    assert rep.components["t0"] == 0.0
 
 
 def test_t0_single_extreme_coordinate():
     mean = np.zeros(100)
     mean[0] = 3.0
-    m = _synthetic_moments(300, 100, tr2_hat=1.0, tr3_hat=1.0, mean=mean)
-    t0 = t0_statistic(m)
+    rep = _gs(_synthetic_moments(300, 100, tr2_hat=1.0, tr3_hat=1.0, mean=mean))
     # h = 300 * 9 / 1 = 2700 above the cutoff; T0 = sqrt(100) * 2700
-    assert t0.n_screened == 1
-    assert t0.value == pytest.approx(27000.0, rel=1e-12)
+    assert rep.details["n_screened"] == 1
+    assert rep.components["t0"] == pytest.approx(27000.0, rel=1e-12)
 
 
 def test_t0_skips_zero_variance_coordinates():
@@ -238,15 +230,15 @@ def test_t0_skips_zero_variance_coordinates():
     m = SampleMoments(
         mean=mean, S=50, tr1=1.0, tr2_hat=1.0, tr3_hat=1.0, diag=np.array([0.0, 1.0])
     )
-    t0 = t0_statistic(m)
-    assert t0.skipped == (0,)
-    assert t0.value == 0.0
+    rep = _gs(m)
+    assert rep.details.get("skipped_coordinates", ()) == (0,)
+    assert rep.components["t0"] == 0.0
 
 
 def test_t0_positive_cutoff_at_k_equal_one():
     # ln K would vanish at K = 1; the screen must keep a positive cutoff
     m = _synthetic_moments(100, 1, tr2_hat=1.0, tr3_hat=1.0)
-    assert t0_statistic(m).cutoff > 10.0
+    assert _gs(m).details["screen_cutoff"] > 10.0
 
 
 # --------------------------------------------------------------------------
@@ -316,9 +308,10 @@ def test_gs_sparse_shift_fires_screen():
 
 
 def test_gs_degenerate_on_constant_data():
-    rep = gs_test(np.ones((6, 3)), 0.05)
-    assert rep.degenerate == "DegenerateVariance"
-    assert rep.p_value is None and rep.reject is None
+    for phi in (np.ones((6, 3)), np.ones((8, 2))):
+        rep = gs_test(phi, 0.05)
+        assert rep.degenerate == "DegenerateVariance"
+        assert rep.p_value is None and rep.reject is None
 
 
 def test_wald_degenerate_when_k_at_least_s(rng):
@@ -366,9 +359,7 @@ def test_cq_antithetic_rows_never_reject(rng):
 def test_cq_statistic_is_normalized_u(rng):
     phi = rng.normal(size=(15, 3))
     rep = cq_test(phi, 0.05)
-    m = moments(phi)
-    t1 = t1_statistic(m)
-    assert rep.statistic == pytest.approx(t1.normalized, rel=1e-12)
+    assert rep.statistic == pytest.approx(gs_test(phi).components["t1_normalized"], rel=1e-12)
     assert rep.details["u_statistic"] == pytest.approx(_pairwise_u(phi), rel=1e-10)
 
 
@@ -506,19 +497,29 @@ def test_scale_invariance_of_decisions(c, seed):
         assert b.reject == a.reject
 
 
-@pytest.mark.parametrize("scale", [1e-100, 1e-40, 1e30, 1e60, 1e100, 1e160])
-def test_scale_outside_the_float_range_is_degenerate_not_an_error(scale):
+@pytest.mark.parametrize(
+    "scale,S",
+    [
+        *(pytest.param(s, 30, id=str(s)) for s in (1e-100, 1e-40, 1e30, 1e60, 1e100, 1e160)),
+        # column sums that overflow unless the sample is divided before its mean
+        pytest.param(1e307, 300, id="300x3-1e+307"),
+        pytest.param(7e307, 30, id="30x3-peak-1.7e+308"),
+    ],
+)
+def test_scale_outside_the_float_range_is_degenerate_not_an_error(scale, S):
     # moments divides such a sample by a power of two, which is exact, so
     # every test gives the unit-scale result
-    unit = np.random.default_rng(5).normal(size=(30, 3))
+    unit = np.random.default_rng(5).normal(size=(S, 3))
     phi = unit * scale
     m, m_unit = moments(phi), moments(unit)
     assert m_unit.scale == 1.0
     mantissa, _ = math.frexp(m.scale)
-    peak = np.abs(phi - phi.mean(axis=0)).max() / m.scale
-    assert mantissa == 0.5 and 0.5 <= peak < 1.0
-    assert math.isclose(t1_statistic(m).normalized, t1_statistic(m_unit).normalized, rel_tol=1e-9)
-    assert math.isclose(chi_sq_approx(m).d, chi_sq_approx(m_unit).d, rel_tol=1e-9)
+    peak = np.abs(phi).max() / m.scale
+    assert mantissa == 0.5 and 0.5 <= peak < (2.0 if m.scale == 2.0**1023 else 1.0)
+    gs, gs_unit = (run_tests_from_moments(x, 0.05, ("gs",))[0] for x in (m, m_unit))
+    t1, t1_unit = (rep.components["t1_normalized"] for rep in (gs, gs_unit))
+    assert math.isclose(t1, t1_unit, rel_tol=1e-9)
+    assert math.isclose(gs.approx.d, gs_unit.approx.d, rel_tol=1e-9)
     grouping = FeatureGrouping.singletons(3)
     want = group_joint_test(unit, grouping, tests=ALL_TESTS)
     got = group_joint_test(phi, grouping, tests=ALL_TESTS)
@@ -547,10 +548,6 @@ def test_every_scale_is_degenerate_or_the_unit_scale_result(seed, S, K):
         for o, ref in zip(stacked, want):
             rep = o.report(r)
             assert ref.degenerate is None
-            if scales[r] > 1e306:  # column sums may overflow
-                assert rep.degenerate in (None, "FloatRange")
-                if rep.degenerate:
-                    continue
             assert rep.degenerate is None, (o.test, scales[r])
             for name in ("statistic", "p_value"):
                 got = getattr(rep, name)
