@@ -122,6 +122,13 @@ def test_t1_antithetic_rows_hit_plugin_floor(rng):
     assert raw == pytest.approx(-m.tr1 / 12, rel=1e-12)
 
 
+def test_t1_degenerate_on_constant_data():
+    # T1 is normalised by tr2_hat = 0: both T1-based reports carry the tag
+    for rep in run_tests_from_moments(moments(np.ones((8, 2))), 0.05, ("gs", "cq")):
+        assert rep.degenerate == "DegenerateVariance"
+        assert rep.p_value is None and rep.reject is None
+
+
 def test_t1_matches_pairwise_oracle(rng):
     for _ in range(20):
         S = int(rng.integers(4, 12))
@@ -308,10 +315,9 @@ def test_gs_sparse_shift_fires_screen():
 
 
 def test_gs_degenerate_on_constant_data():
-    for phi in (np.ones((6, 3)), np.ones((8, 2))):
-        rep = gs_test(phi, 0.05)
-        assert rep.degenerate == "DegenerateVariance"
-        assert rep.p_value is None and rep.reject is None
+    rep = gs_test(np.ones((6, 3)), 0.05)
+    assert rep.degenerate == "DegenerateVariance"
+    assert rep.p_value is None and rep.reject is None
 
 
 def test_wald_degenerate_when_k_at_least_s(rng):
