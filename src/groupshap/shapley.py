@@ -257,6 +257,13 @@ def tree_group_shap(model: TreeEnsemble, X, grouping: FeatureGrouping) -> ShapMa
 
     The deltas telescope, so each row satisfies sum(phi) + base = prediction
     exactly. On single-split stumps this coincides with the exact oracle.
+
+    Each level of ``Tree.descend`` moves every row once, so one flat ``+=``
+    at ``row * K + group`` adds each row's delta to its own cell, in the
+    order a per-row walk adds them. A row already at its leaf adds
+    value - value = +0.0, which leaves its cell's bits unchanged because no
+    cell ever holds -0.0 (it starts at +0.0, and a sum is -0.0 only when
+    both terms are).
     """
     if grouping.n_features != model.n_features:
         raise ShapeError("grouping does not match the model's feature count")
@@ -264,9 +271,12 @@ def tree_group_shap(model: TreeEnsemble, X, grouping: FeatureGrouping) -> ShapMa
     S = X.shape[0]
     K = grouping.n_groups
     f2g = grouping.feature_to_group()
-    phi = np.zeros((S, K))
+    phi = np.zeros(S * K)
+    row_base = np.arange(0, S * K, K)
     for t in model.trees:
-        for rows, nodes, children in t.descend(X):
-            np.add.at(phi, (rows, f2g[t.feature[nodes]]), t.value[children] - t.value[nodes])
+        # a leaf's group is any valid one: its self-loop adds value - value
+        group = f2g[np.where(t.feature == LEAF, 0, t.feature)]
+        for nodes, children in t.descend(X):
+            phi[row_base + group[nodes]] += t.value[children] - t.value[nodes]
     base = base_value(model)
-    return ShapMatrix(phi, np.full(S, base), list(grouping.names))
+    return ShapMatrix(phi.reshape(S, K), np.full(S, base), list(grouping.names))

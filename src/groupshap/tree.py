@@ -5,6 +5,11 @@ internal nodes split as ``x[feature] <= threshold goes left``. Every node
 carries ``cover`` (training rows that reached it) and ``value`` (leaf output
 for leaves, cover-weighted mean of the children for internal nodes), which is
 what the attribution code walks.
+
+Every row-wise traversal is ``Tree.descend``: all S rows move down one level
+per step, depth steps in all, over walk arrays in which a leaf loops to
+itself. Numeric CSV files are parsed with one ``np.loadtxt`` call where it
+gives the scan's exact result, and by the ``csv``/``float`` scan otherwise.
 """
 
 from __future__ import annotations
@@ -12,7 +17,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+import warnings
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,9 +38,15 @@ class DataError(GroupShapError):
     """Dataset ingestion or precondition failure."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Tree:
-    """One binary regression tree as parallel node arrays."""
+    """One binary regression tree as parallel node arrays.
+
+    The split arrays (feature, threshold, left, right) are stored as
+    read-only copies and the tree is frozen, so the walk arrays built from
+    them at construction can never go stale. ``value`` and ``cover`` stay
+    writable; the walk does not read them.
+    """
 
     feature: np.ndarray  # int64, LEAF for leaves
     threshold: np.ndarray  # float64, nan for leaves
@@ -43,6 +55,38 @@ class Tree:
     value: np.ndarray  # float64
     cover: np.ndarray  # float64
     root: int = 0
+    depth: int = field(init=False)  # edges on the longest root-to-leaf path
+    _walk: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        split = {
+            "feature": np.array(self.feature, dtype=np.int64),
+            "threshold": np.array(self.threshold, dtype=float),
+            "left": np.array(self.left, dtype=np.int64),
+            "right": np.array(self.right, dtype=np.int64),
+        }
+        for name, a in split.items():
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        leaf = self.feature == LEAF
+        node = np.arange(self.n_nodes)
+        # a leaf loops to itself: x[0] <= +inf holds for every finite x
+        walk = (
+            np.where(leaf, 0, self.feature),
+            np.where(leaf, np.inf, self.threshold),
+            np.where(leaf, node, self.left),
+            np.where(leaf, node, self.right),
+        )
+        for a in walk:
+            a.flags.writeable = False
+        is_leaf, left, right = leaf.tolist(), self.left.tolist(), self.right.tolist()
+        depth, level = 0, {self.root}
+        while level := {c for i in level if not is_leaf[i] for c in (left[i], right[i])}:
+            depth += 1
+            if depth >= self.n_nodes:
+                raise ValueError("tree nodes below the root form a cycle")
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "_walk", walk)
 
     @property
     def n_nodes(self) -> int:
@@ -51,25 +95,25 @@ class Tree:
     def descend(self, X: np.ndarray):
         """Walk every row of X from the root to its leaf, one level at a time.
 
-        Yields ``(rows, nodes, children)``: the rows still at an internal node,
-        the node each of them is at, and the child it moves to.
+        Yields ``(nodes, children)`` ``depth`` times: the node each row is at
+        and the node it moves to. A row that has reached its leaf stays there,
+        its child being its node. After the last level, ``children`` holds
+        each row's leaf.
         """
-        idx = np.full(X.shape[0], self.root)
-        live = self.feature[idx] != LEAF
-        while live.any():
-            rows = np.nonzero(live)[0]
-            nodes = idx[rows]
-            go_left = X[rows, self.feature[nodes]] <= self.threshold[nodes]
-            children = np.where(go_left, self.left[nodes], self.right[nodes])
-            yield rows, nodes, children
-            idx[rows] = children
-            live[rows] = self.feature[children] != LEAF
+        feature, threshold, left, right = self._walk
+        row_base = np.arange(0, X.size, X.shape[1])
+        nodes = np.full(X.shape[0], self.root)
+        for _ in range(self.depth):
+            go_left = X.take(row_base + feature[nodes]) <= threshold[nodes]
+            children = np.where(go_left, left[nodes], right[nodes])
+            yield nodes, children
+            nodes = children
 
     def leaf_values(self, X: np.ndarray) -> np.ndarray:
         """Value of the leaf each row of X ends in."""
         leaf = np.full(X.shape[0], self.root)
-        for rows, _, children in self.descend(X):
-            leaf[rows] = children
+        for _, leaf in self.descend(X):
+            pass
         return self.value[leaf]
 
 
@@ -144,28 +188,68 @@ def read_numeric_csv(path, error, labels: int = 0) -> tuple[list[str], np.ndarra
     empty file, a header with no data rows, bytes that are not UTF-8, and a
     ragged row, non-numeric cell or non-finite value (named by file:line)
     raise ``error``.
+
+    Where one ``np.loadtxt`` call parses the file into a result the scan
+    would accept, that result is returned: ``loadtxt`` is correctly rounded
+    like ``float``, and rejects every cell text ``float`` rejects except for
+    the separators U+001C..U+001F, which it strips as whitespace, so a file
+    holding one of those bytes goes to the scan. Anything else (a quoted
+    cell, ``1_000``, a non-ASCII digit, an error) is decided by the scan,
+    the only source of error messages.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise error(f"{path}: empty file")
-            rows, linenos = [], []
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise error(
-                        f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-                    )
-                try:
-                    rows.append(list(map(float, row[labels:])))
-                except ValueError:
-                    raise error(f"{path}:{lineno}: non-numeric value") from None
-                linenos.append(lineno)
+        fast = _loadtxt_numeric_csv(path, labels)
+        if fast is not None:
+            return fast
+        return _scan_numeric_csv(path, error, labels)
     except UnicodeDecodeError:
         raise error(f"{path}: not UTF-8 text") from None
+
+
+def _loadtxt_numeric_csv(path, labels: int):
+    """read_numeric_csv by one ``np.loadtxt`` call, or None where the scan
+    must decide."""
+    # U+001C..U+001F are whitespace to loadtxt and not to float; in UTF-8
+    # each is its own byte
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
+            if any(c in chunk for c in range(0x1C, 0x20)):
+                return None
+    with open(path, newline="", encoding="utf-8") as fh:
+        header = next(csv.reader(fh), None)
+        if header is None:
+            return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                # a file object is read line by line, split as csv splits it
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            except (ValueError, Warning):
+                return None
+    cells = np.ascontiguousarray(data[:, labels:])
+    if len(data) == 0 or data.shape[1] != len(header) or not np.isfinite(cells).all():
+        return None
+    return header, cells
+
+
+def _scan_numeric_csv(path, error, labels: int) -> tuple[list[str], np.ndarray]:
+    """read_numeric_csv row by row with ``csv`` and ``float``."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise error(f"{path}: empty file")
+        rows, linenos = [], []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise error(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+            try:
+                rows.append(list(map(float, row[labels:])))
+            except ValueError:
+                raise error(f"{path}:{lineno}: non-numeric value") from None
+            linenos.append(lineno)
     if not rows:
         raise error(f"{path}: no data rows")
     cells = np.asarray(rows, dtype=float)
@@ -199,10 +283,16 @@ def read_csv_dataset(path, target: str | None = None) -> Dataset:
     """Load a comma-delimited CSV with a header row.
 
     If ``target`` names a column, it becomes ``y`` and is dropped from ``X``.
-    Missing, non-numeric and non-finite cells are rejected.
+    Missing, non-numeric and non-finite cells and a column name (stripped)
+    that appears twice are rejected.
     """
     header, data = read_numeric_csv(path, DataError)
     header = [h.strip() for h in header]
+    seen = set()
+    for name in header:
+        if name in seen:
+            raise DataError(f"{path}: duplicate column name {name!r}")
+        seen.add(name)
     y = None
     if target is not None:
         if target not in header:
@@ -419,6 +509,7 @@ def _parse_tree(tree_doc, n_features: int, ti: int) -> Tree:
             rc = nd["right"]
             value_i = float(nd["value"])
             cover_i = float(nd["cover"])
+            thr = None if thr is None else float(thr)
         except (KeyError, TypeError, ValueError) as exc:
             raise ModelParseError(f"bad node fields: {exc}", ti, pos) from None
         if not isinstance(i, int) or not 0 <= i < n or i in seen:
@@ -444,29 +535,34 @@ def _parse_tree(tree_doc, n_features: int, ti: int) -> Tree:
                 raise ModelInvariantError(
                     f"split feature {f} outside [0, {n_features})", ti, i
                 )
+            if not math.isfinite(thr):
+                raise ModelInvariantError(f"threshold {thr} is not finite", ti, i)
             feature[i] = f
-            threshold[i] = float(thr)
+            threshold[i] = thr
             left[i] = lc
             right[i] = rc
+        for name, v in [("value", value_i), ("cover", cover_i)]:
+            if not math.isfinite(v):
+                raise ModelInvariantError(f"{name} {v} is not finite", ti, i)
         if cover_i < 0:
             raise ModelInvariantError("cover must be nonnegative", ti, i)
         value[i] = value_i
         cover[i] = cover_i
-    t = Tree(feature, threshold, left, right, value, cover)
-    t.root, order = _validate_structure(t, ti)
+    root, order = _validate_structure(feature, left, right, ti)
+    t = Tree(feature, threshold, left, right, value, cover, root)
     _validate_covers_and_values(t, ti, order)
     return t
 
 
-def _validate_structure(t: Tree, ti: int) -> tuple[int, list[int]]:
+def _validate_structure(feature, left, right, ti: int) -> tuple[int, list[int]]:
     """Check the node graph is a single rooted tree; return the root id and
     the nodes in preorder."""
-    n = t.n_nodes
+    n = len(feature)
     parents = np.zeros(n, dtype=int)
     for i in range(n):
-        if t.feature[i] != LEAF:
-            parents[t.left[i]] += 1
-            parents[t.right[i]] += 1
+        if feature[i] != LEAF:
+            parents[left[i]] += 1
+            parents[right[i]] += 1
     roots = np.nonzero(parents == 0)[0]
     if len(roots) != 1:
         raise ModelInvariantError(f"expected exactly one root, found {len(roots)}", ti)
@@ -481,8 +577,8 @@ def _validate_structure(t: Tree, ti: int) -> tuple[int, list[int]]:
     while stack:
         i = stack.pop()
         order.append(i)
-        if t.feature[i] != LEAF:
-            stack.extend((int(t.left[i]), int(t.right[i])))
+        if feature[i] != LEAF:
+            stack.extend((int(left[i]), int(right[i])))
     if len(order) != n:
         raise ModelInvariantError("unreachable nodes in tree", ti)
     return root, order
@@ -536,6 +632,8 @@ def load_model(path) -> TreeEnsemble:
         raise ModelParseError(f"{path}: missing or bad field: {exc}") from None
     if version != MODEL_FORMAT_VERSION:
         raise ModelParseError(f"{path}: unsupported version {version!r}")
+    if not math.isfinite(base_score):
+        raise ModelInvariantError(f"{path}: base_score {base_score} is not finite")
     if not isinstance(n_features, int) or n_features < 1:
         raise ModelParseError(f"{path}: n_features must be a positive integer")
     if feature_names is not None and len(feature_names) != n_features:

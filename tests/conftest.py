@@ -191,6 +191,21 @@ def reference_value_function(model: TreeEnsemble, x, active_features) -> float:
     return float(total)
 
 
+def reference_path_attribution(model: TreeEnsemble, x, feature_to_group, n_groups):
+    """tree_group_shap for one row, by a scalar walk down each tree in turn:
+    every split on the row's path adds value(child) - value(node) to the
+    group of its feature."""
+    phi = [0.0] * n_groups
+    for t in model.trees:
+        i = t.root
+        while t.feature[i] != LEAF:
+            f = t.feature[i]
+            child = int(t.left[i] if x[f] <= t.threshold[i] else t.right[i])
+            phi[feature_to_group[f]] += float(t.value[child] - t.value[i])
+            i = child
+    return np.array(phi)
+
+
 def brute_force_group_shapley(model: TreeEnsemble, x, groups):
     """Group-player Shapley by direct coalition enumeration.
 

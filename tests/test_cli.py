@@ -257,6 +257,30 @@ def test_non_utf8_model_or_grouping_file_exits_two(tmp_path, dataset_csv, capsys
     assert f"{bad}: not UTF-8 text" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("key", ["threshold", "value", "cover"])
+def test_model_with_a_non_finite_number_exits_two(tmp_path, dataset_csv, capsys, key):
+    train, explain = _explain_argv(tmp_path, dataset_csv)
+    assert main(train) == 0
+    model_path = tmp_path / "m.model"
+    doc = json.loads(model_path.read_text())
+    doc["trees"][0]["nodes"][0][key] = math.nan  # node 0 is the root, a split
+    model_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(explain) == 2
+    err = capsys.readouterr().err
+    assert f"{key} nan is not finite (tree 0, node 0)" in err and "Traceback" not in err
+
+
+def test_duplicate_column_names_exit_two(tmp_path, capsys):
+    path = tmp_path / "d.csv"
+    path.write_text("a, a,y\n" + "".join(f"{i},{i % 3},{i * 0.5}\n" for i in range(20)))
+    assert main(["train", "--data", str(path), "--target", "y",
+                 "--out", str(tmp_path / "m.model")]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: duplicate column name 'a'" in err and "Traceback" not in err
+    assert not (tmp_path / "m.model").exists()
+
+
 # cell texts at the attribution-CSV boundary: numbers, near-numbers and junk
 _NUMBERS = st.floats(allow_nan=False, allow_infinity=False).map(repr).map(str.encode)
 _CELLS = _NUMBERS | st.sampled_from(

@@ -27,15 +27,29 @@ from groupshap.tree import (
     LEAF,
     DataError,
     Dataset,
+    Tree,
     TreeEnsemble,
     _grow_tree,
+    _loadtxt_numeric_csv,
+    _scan_numeric_csv,
     load_model,
     read_csv_dataset,
+    read_numeric_csv,
     save_model,
     train_gbm,
 )
 
-from conftest import build_tree, leaf_tree, random_ensemble, reference_train_gbm, stump
+from conftest import (
+    build_tree,
+    chain_tree,
+    leaf_tree,
+    random_ensemble,
+    random_partition,
+    reference_path_attribution,
+    reference_train_gbm,
+    reference_value_function,
+    stump,
+)
 
 
 def _check_node_invariants(model: TreeEnsemble):
@@ -146,9 +160,93 @@ def test_descend_walks_each_row_one_level_at_a_time():
     # leaves 3 and 4
     t = build_tree((0, 0.5, (1.0, 10), (1, 0.5, (2.0, 10), (3.0, 10))))
     X = np.array([[0.2, 0.9], [0.7, 0.2], [0.7, 0.9]])
-    levels = [(r.tolist(), n.tolist(), c.tolist()) for r, n, c in t.descend(X)]
-    assert levels == [([0, 1, 2], [0, 0, 0], [1, 2, 2]), ([1, 2], [2, 2], [3, 4])]
+    # every row moves at every level; row 0 stays at leaf 1 once it is there
+    levels = [(n.tolist(), c.tolist()) for n, c in t.descend(X)]
+    assert t.depth == 2
+    assert levels == [([0, 0, 0], [1, 2, 2]), ([1, 2, 2], [1, 3, 4])]
     np.testing.assert_array_equal(t.leaf_values(X), [1.0, 2.0, 3.0])
+
+
+def _reversed_ids(doc):
+    """The model document with every tree's node ids reversed, so that each
+    root is the last node."""
+    for tree_doc in doc["trees"]:
+        last = len(tree_doc["nodes"]) - 1
+        for nd in tree_doc["nodes"]:
+            nd["id"] = last - nd["id"]
+            if nd["left"] is not None:
+                nd["left"], nd["right"] = last - nd["left"], last - nd["right"]
+    return doc
+
+
+def _walk_case(case, rng, tmp_path):
+    """A model of one of the walk's edge shapes, and rows to walk it with."""
+    if case == "root_leaf":
+        model = TreeEnsemble([leaf_tree(2.5), stump(1, 0.5, -1.0, 1.0), leaf_tree(-0.75)], 3, 0.25)
+        assert [t.depth for t in model.trees] == [0, 1, 0]
+    elif case == "chain_depth_8":
+        model = TreeEnsemble(
+            [chain_tree(range(8)), chain_tree([3, 1, 4, 1, 5, 2, 6, 0])], 8, -0.5
+        )
+        assert [t.depth for t in model.trees] == [8, 8]
+    else:
+        X = rng.uniform(size=(300, 5))
+        y = np.sin(4 * X[:, 0]) + X[:, 1] * X[:, 2] + rng.normal(0, 0.1, 300)
+        depth = 6 if case == "trained_depth_6" else 3
+        model = train_gbm(Dataset(X=X, y=y, columns=list("abcde")), n_trees=6,
+                          max_depth=depth, min_samples_leaf=2)
+        if case == "loaded_root_not_0":
+            path = tmp_path / "m.model"
+            save_model(model, path)
+            with open(path) as fh:
+                doc = _reversed_ids(json.load(fh))
+            path.write_text(json.dumps(doc))
+            model = load_model(path)
+            assert all(t.root == t.n_nodes - 1 > 0 for t in model.trees)
+        assert max(t.depth for t in model.trees) == depth
+    X = rng.uniform(size=(200, model.n_features))
+    # rows on every threshold (ties go left), and rows down the left spine
+    X[:3] = 0.5
+    X[3:6] = 0.1
+    return model, X
+
+
+@pytest.mark.parametrize(
+    "case", ["root_leaf", "chain_depth_8", "loaded_root_not_0", "trained_depth_6"]
+)
+def test_walk_matches_a_scalar_per_row_walk_bit_for_bit(rng, tmp_path, case):
+    model, X = _walk_case(case, rng, tmp_path)
+    F = model.n_features
+    expected = np.array([reference_value_function(model, x, set(range(F))) for x in X])
+    assert model.predict_many(X).tobytes() == expected.tobytes()
+    grouping = FeatureGrouping(random_partition(rng, F, min(3, F)), F)
+    f2g = grouping.feature_to_group()
+    expected = np.array(
+        [reference_path_attribution(model, x, f2g, grouping.n_groups) for x in X]
+    )
+    assert tree_group_shap(model, X, grouping).values.tobytes() == expected.tobytes()
+
+
+def test_tree_split_arrays_are_read_only_copies():
+    # the walk arrays are built once, so the arrays they come from must not change
+    feature = np.array([0, LEAF, LEAF])
+    tree = Tree(feature=feature, threshold=np.array([0.5, math.nan, math.nan]),
+                left=np.array([1, LEAF, LEAF]), right=np.array([2, LEAF, LEAF]),
+                value=np.array([1.5, 1.0, 2.0]), cover=np.array([2.0, 1.0, 1.0]))
+    feature[0] = 5  # the caller's array, not the tree's
+    assert tree.feature[0] == 0
+    for name in ("feature", "threshold", "left", "right"):
+        assert not getattr(tree, name).flags.writeable
+    with pytest.raises(AttributeError):
+        tree.root = 1
+
+
+def test_tree_with_a_cycle_is_refused_at_construction():
+    # node 1 leads back to the root; the depth count must stop, not grow
+    with pytest.raises(ValueError, match="cycle"):
+        Tree(feature=np.array([0, 0, LEAF]), threshold=np.array([0.5, 0.5, math.nan]),
+             left=np.array([1, 0, LEAF]), right=np.array([2, 2, LEAF]),
+             value=np.zeros(3), cover=np.ones(3))
 
 
 def test_predict_is_deterministic_and_shape_checked(rng):
@@ -337,6 +435,40 @@ def test_load_rejects_out_of_range_feature(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("node, key", [(0, "threshold"), (0, "value"), (2, "value"), (1, "cover")])
+def test_load_rejects_non_finite_node_numbers(tmp_path, node, key, bad):
+    # a NaN threshold would send every row right, silently
+    doc = _stump_doc()
+    doc["trees"][0]["nodes"][node][key] = bad
+    path = tmp_path / "bad.model"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelInvariantError, match=f"{key} .* is not finite") as err:
+        load_model(path)
+    assert (err.value.tree_index, err.value.node_index) == (0, node)
+
+
+@pytest.mark.parametrize("bad", ["x", [0.5]])
+def test_load_rejects_a_threshold_that_is_not_a_number(tmp_path, bad):
+    doc = _stump_doc()
+    doc["trees"][0]["nodes"][0]["threshold"] = bad
+    path = tmp_path / "bad.model"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelParseError, match="bad node fields") as err:
+        load_model(path)
+    assert err.value.node_index == 0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_load_rejects_non_finite_base_score(tmp_path, bad):
+    doc = _stump_doc()
+    doc["base_score"] = bad
+    path = tmp_path / "bad.model"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelInvariantError, match="base_score .* is not finite"):
+        load_model(path)
+
+
 def test_trained_models_satisfy_node_invariants(rng):
     X = rng.uniform(size=(150, 5))
     y = np.sin(3 * X[:, 0]) + X[:, 1] ** 2 + rng.normal(0, 0.1, 150)
@@ -391,6 +523,70 @@ def test_read_csv_rejects_ragged_rows(tmp_path):
     path.write_text("a,b\n1.0,2.0\n3.0\n")
     with pytest.raises(DataError):
         read_csv_dataset(path)
+
+
+@pytest.mark.parametrize("header", ["a,a,y", "a, b,y,b "])
+def test_read_csv_rejects_duplicate_column_names(tmp_path, header):
+    path = tmp_path / "d.csv"
+    width = header.count(",") + 1
+    path.write_text(header + "\n" + ",".join(["1.5"] * width) + "\n")
+    name = header.split(",")[1].strip()
+    with pytest.raises(DataError) as exc:
+        read_csv_dataset(path, target="y")
+    assert str(exc.value) == f"{path}: duplicate column name {name!r}"
+
+
+# Inputs on which np.loadtxt and the csv/float scan could part ways. The fast
+# path either gives the scan's header and bits or hands the file to the scan,
+# so read_numeric_csv returns what the scan returns, or raises its message.
+_READER_EDGES = {
+    "cr_only": b"a,b\r1,2.5\r3,4\r",
+    "crlf": b"a,b\r\n1,2.5\r\n3,4\r\n",
+    "cr_inside_a_row": b"a,b\n1,2\r3,4\n",
+    "quoted_header_newline": b'"a\nx",b\n1,2\n',
+    "quoted_header": b'"a",b\n1,2\n',
+    "hash_cell": b"a,b\n1,#\n",
+    "hash_row": b"a,b\n#,2\n1,2\n",
+    "blank_line": b"a,b\n1,2\n\n3,4\n",
+    "whitespace_line": b"a,b\n1,2\n  \n3,4\n",
+    "tab_line_one_column": b"a\n1\n\t\n2\n",
+    "short_row": b"a,b\n1,2\n3\n",
+    "long_row": b"a,b\n1,2\n3,4,5\n",
+    "every_row_long": b"a,b\n1,2,3\n4,5,6\n",
+    "nan_cell": b"a,b\n1,2\n3,nan\n",
+    "inf_label": b"obs_id,b\ninf,2\n",
+    "text_labels": b"obs_id,b\nbond_1,2\nbond_2,3\n",
+    "bom": "\ufeffobs_id,b\n1,2\n".encode(),
+    "no_final_newline": b"a,b\n1,2\n3,4",
+    "information_separator": b"a,b\n1,2\x1c\n",
+    "underscore_digits": b"a,b\n1_000,2\n",
+    "arabic_digit": "a,b\n\u0661,2\n".encode(),
+    "no_rows": b"a,b\n",
+    "empty": b"",
+}
+_PLAIN = {"cr_only", "crlf", "cr_inside_a_row", "blank_line", "bom", "no_final_newline"}
+
+
+@pytest.mark.parametrize("labels", [0, 1])
+@pytest.mark.parametrize("case", sorted(_READER_EDGES))
+def test_numeric_csv_fast_path_agrees_with_the_scan(tmp_path, case, labels):
+    path = tmp_path / "t.csv"
+    path.write_bytes(_READER_EDGES[case])
+
+    def outcome(read):
+        try:
+            header, cells = read()
+        except DataError as exc:
+            return str(exc)
+        return header, cells.shape, cells.tobytes()
+
+    scan = outcome(lambda: _scan_numeric_csv(path, DataError, labels))
+    fast = _loadtxt_numeric_csv(path, labels)
+    if fast is not None:
+        assert (fast[0], fast[1].shape, fast[1].tobytes()) == scan
+    elif case in _PLAIN:
+        pytest.fail("a plain file went to the scan")
+    assert outcome(lambda: read_numeric_csv(path, DataError, labels)) == scan
 
 
 # Both CSV readers parse through read_numeric_csv, so a cell text gets the same
