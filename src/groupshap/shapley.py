@@ -25,7 +25,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoalitionBudgetExceeded, GroupingError, ShapeError
-from .tree import LEAF, Tree, TreeEnsemble, feature_matrix, read_key_lines, read_numeric_csv
+from .tree import (
+    LEAF,
+    Tree,
+    TreeEnsemble,
+    feature_matrix,
+    read_key_lines,
+    read_numeric_csv,
+    row_blocks,
+)
 
 # most groups a single tree may split on for exact enumeration
 EXACT_GROUP_LIMIT = 20
@@ -132,11 +140,19 @@ class ShapMatrix:
         return self.values.shape[0]
 
     def to_csv(self, path) -> None:
-        """Write ``obs_id, base, <groups...>`` rows, each float as its repr."""
+        """Write ``obs_id, base, <groups...>`` rows, each float as its repr.
+
+        The rows are formatted a block at a time (``row_blocks``), so only
+        one block is ever held as Python floats and strings.
+        """
         with open(path, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerow(["obs_id", "base"] + list(self.group_names))
-            rows = np.column_stack([self.base_values, self.values]).tolist()
-            fh.writelines(f"{s},{','.join(map(repr, row))}\r\n" for s, row in enumerate(rows))
+            for rows in row_blocks(self.n_obs, self.values.shape[1] + 1):
+                block = np.column_stack([self.base_values[rows], self.values[rows]]).tolist()
+                fh.writelines(
+                    f"{s},{','.join(map(repr, row))}\r\n"
+                    for s, row in enumerate(block, start=rows.start)
+                )
 
 
 def read_shap_csv(path) -> ShapMatrix:
@@ -258,12 +274,16 @@ def tree_group_shap(model: TreeEnsemble, X, grouping: FeatureGrouping) -> ShapMa
     The deltas telescope, so each row satisfies sum(phi) + base = prediction
     exactly. On single-split stumps this coincides with the exact oracle.
 
-    Each level of ``Tree.descend`` moves every row once, so one flat ``+=``
-    at ``row * K + group`` adds each row's delta to its own cell, in the
-    order a per-row walk adds them. A row already at its leaf adds
-    value - value = +0.0, which leaves its cell's bits unchanged because no
-    cell ever holds -0.0 (it starts at +0.0, and a sum is -0.0 only when
-    both terms are).
+    Each tree's delta (value[child] - value[node]) and group per edge of
+    ``Tree.descend`` are tabled on each call, from the tree's current
+    ``value``, which load validation rewrites after the tree is built. The
+    rows are walked in blocks (``row_blocks``), every tree in turn within a
+    block. Each level moves every row of the block once, so one flat
+    ``np.add.at`` at ``row * K + group`` meets each cell at most once and
+    adds each row's delta to its own cell, in the order a per-row walk adds
+    them. A row already at its leaf adds value - value = +0.0, which leaves
+    its cell's bits unchanged because no cell ever holds -0.0 (it starts at
+    +0.0, and a sum is -0.0 only when both terms are).
     """
     if grouping.n_features != model.n_features:
         raise ShapeError("grouping does not match the model's feature count")
@@ -271,12 +291,17 @@ def tree_group_shap(model: TreeEnsemble, X, grouping: FeatureGrouping) -> ShapMa
     S = X.shape[0]
     K = grouping.n_groups
     f2g = grouping.feature_to_group()
-    phi = np.zeros(S * K)
-    row_base = np.arange(0, S * K, K)
-    for t in model.trees:
-        # a leaf's group is any valid one: its self-loop adds value - value
-        group = f2g[np.where(t.feature == LEAF, 0, t.feature)]
-        for nodes, children in t.descend(X):
-            phi[row_base + group[nodes]] += t.value[children] - t.value[nodes]
+    # a leaf's group is any valid one: its self-loop adds value - value
+    tables = [
+        (t, f2g.take(t.edge_feature), t.value.take(t.edge_next >> 1) - np.repeat(t.value, 2))
+        for t in model.trees
+    ]
+    phi = np.zeros((S, K))
+    for rows in row_blocks(*X.shape):
+        block, cells = X[rows], phi[rows].ravel()
+        row_base = np.arange(0, cells.size, K)
+        for t, group, delta in tables:
+            for edges in t.descend(block):
+                np.add.at(cells, row_base + group.take(edges), delta.take(edges))
     base = base_value(model)
-    return ShapMatrix(phi.reshape(S, K), np.full(S, base), list(grouping.names))
+    return ShapMatrix(phi, np.full(S, base), list(grouping.names))

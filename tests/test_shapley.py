@@ -1,8 +1,12 @@
 """Attribution: value function, exact enumeration, path algorithm."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
+from groupshap import tree
 from groupshap.errors import CoalitionBudgetExceeded, GroupingError, ShapeError
 from groupshap.shapley import (
     FeatureGrouping,
@@ -357,3 +361,21 @@ def test_shap_matrix_csv_round_trip(tmp_path, rng):
     np.testing.assert_array_equal(loaded.values, shap.values)
     np.testing.assert_array_equal(loaded.base_values, shap.base_values)
     assert loaded.group_names == shap.group_names
+
+
+def test_shap_csv_written_in_row_blocks_matches_one_shot_formatting(tmp_path, rng, monkeypatch):
+    # floats whose reprs take every form: exponents, -0.0, the subnormal
+    # minimum, integers
+    values = rng.normal(size=(50, 3)) * 10.0 ** rng.integers(-300, 300, size=(50, 3))
+    values[:4, 0] = [-0.0, 5e-324, 1.0, -7.5]
+    shap = ShapMatrix(values, rng.normal(size=50), ["a", "b c", 'q"uote'])
+    # blocks of 12 rows at 4 floats a row: four full blocks and a tail of 2
+    monkeypatch.setattr(tree, "ROW_BLOCK_FLOATS", 12 * 4)
+    assert [b.stop - b.start for b in tree.row_blocks(50, 4)] == [12, 12, 12, 12, 2]
+    path = tmp_path / "shap.csv"
+    shap.to_csv(path)
+    header = io.StringIO(newline="")
+    csv.writer(header).writerow(["obs_id", "base"] + shap.group_names)
+    rows = np.column_stack([shap.base_values, shap.values]).tolist()
+    body = "".join(f"{s},{','.join(map(repr, row))}\r\n" for s, row in enumerate(rows))
+    assert path.read_bytes() == (header.getvalue() + body).encode()

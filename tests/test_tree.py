@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from groupshap import tree
 from groupshap.errors import (
     GroupingError,
     ModelInvariantError,
@@ -101,7 +102,8 @@ def test_learning_rate_one_single_tree_is_plain_cart(rng):
     data = Dataset(X=X, y=y, columns=list("abc"))
     model = train_gbm(data, n_trees=1, max_depth=3, learning_rate=1.0)
     order = np.argsort(X, axis=0, kind="stable").T
-    cart = _grow_tree(X, y - y.mean(), order, max_depth=3, min_leaf=5, scale=1.0)
+    xs = np.sort(X, axis=0).T
+    cart = _grow_tree(X, y - y.mean(), order, xs, max_depth=3, min_leaf=5, scale=1.0)
     (boosted,) = model.trees
     np.testing.assert_array_equal(boosted.feature, cart.feature)
     np.testing.assert_array_equal(boosted.value, cart.value)
@@ -143,6 +145,31 @@ def test_presorted_training_matches_per_node_sort_byte_for_byte(tmp_path, case, 
     assert (tmp_path / "fast.model").read_bytes() == (tmp_path / "reference.model").read_bytes()
 
 
+def test_presorted_values_stay_aligned_with_order_through_tied_partitions(tmp_path, monkeypatch):
+    # three distinct values per column, so long runs of ties survive every
+    # partition down to depth 4
+    rng = np.random.default_rng(11)
+    X = rng.integers(0, 3, size=(200, 4)).astype(float)
+    y = X[:, 0] * X[:, 1] - X[:, 2] + rng.normal(0, 0.2, 200)
+    data = Dataset(X=X, y=y, columns=list("abcd"))
+    kw = {"n_trees": 5, "max_depth": 4, "min_samples_leaf": 2}
+    best_split, nodes = tree._best_split, []
+
+    def checked(resid, rows, order, xs, min_leaf):
+        # every line of order holds the node's rows, and xs their values
+        assert (np.sort(order, axis=1) == rows).all()
+        assert xs.tobytes() == np.take_along_axis(X.T, order, axis=1).tobytes()
+        nodes.append(len(rows))
+        return best_split(resid, rows, order, xs, min_leaf)
+
+    monkeypatch.setattr(tree, "_best_split", checked)
+    model = train_gbm(data, **kw)
+    assert max(t.depth for t in model.trees) == 4 and min(nodes) < 20
+    save_model(model, tmp_path / "fast.model")
+    save_model(reference_train_gbm(data, **kw), tmp_path / "reference.model")
+    assert (tmp_path / "fast.model").read_bytes() == (tmp_path / "reference.model").read_bytes()
+
+
 def test_predict_empty_ensemble_returns_base():
     model = TreeEnsemble(trees=[], n_features=2, base_score=1.75)
     assert model.predict([0.1, 0.9]) == 1.75
@@ -159,11 +186,15 @@ def test_descend_walks_each_row_one_level_at_a_time():
     # the root splits on x0 into leaf 1 and node 2, which splits on x1 into
     # leaves 3 and 4
     t = build_tree((0, 0.5, (1.0, 10), (1, 0.5, (2.0, 10), (3.0, 10))))
+    # edge 2 * node + went_left leads to 2 * child; a leaf's edges loop back
+    assert t.edge_next.tolist() == [4, 2, 2, 2, 8, 6, 6, 6, 8, 8]
     X = np.array([[0.2, 0.9], [0.7, 0.2], [0.7, 0.9]])
-    # every row moves at every level; row 0 stays at leaf 1 once it is there
-    levels = [(n.tolist(), c.tolist()) for n, c in t.descend(X)]
+    # every row takes an edge at every level; row 0 stays at leaf 1 once it
+    # is there
+    levels = [edges.tolist() for edges in t.descend(X)]
     assert t.depth == 2
-    assert levels == [([0, 0, 0], [1, 2, 2]), ([1, 2, 2], [1, 3, 4])]
+    assert levels == [[1, 0, 0], [3, 5, 4]]
+    assert (t.edge_next[levels[-1]] >> 1).tolist() == [1, 3, 4]
     np.testing.assert_array_equal(t.leaf_values(X), [1.0, 2.0, 3.0])
 
 
@@ -211,11 +242,9 @@ def _walk_case(case, rng, tmp_path):
     return model, X
 
 
-@pytest.mark.parametrize(
-    "case", ["root_leaf", "chain_depth_8", "loaded_root_not_0", "trained_depth_6"]
-)
-def test_walk_matches_a_scalar_per_row_walk_bit_for_bit(rng, tmp_path, case):
-    model, X = _walk_case(case, rng, tmp_path)
+def _check_walk_against_scalar_walks(model, X, rng):
+    """predict_many and tree_group_shap on X, bit for bit against a scalar
+    walk of each row."""
     F = model.n_features
     expected = np.array([reference_value_function(model, x, set(range(F))) for x in X])
     assert model.predict_many(X).tobytes() == expected.tobytes()
@@ -227,8 +256,27 @@ def test_walk_matches_a_scalar_per_row_walk_bit_for_bit(rng, tmp_path, case):
     assert tree_group_shap(model, X, grouping).values.tobytes() == expected.tobytes()
 
 
+_WALK_CASES = ["root_leaf", "chain_depth_8", "loaded_root_not_0", "trained_depth_6"]
+
+
+@pytest.mark.parametrize("case", _WALK_CASES)
+def test_walk_matches_a_scalar_per_row_walk_bit_for_bit(rng, tmp_path, case):
+    model, X = _walk_case(case, rng, tmp_path)
+    _check_walk_against_scalar_walks(model, X, rng)
+
+
+@pytest.mark.parametrize("case", _WALK_CASES)
+def test_walk_in_row_blocks_matches_a_scalar_per_row_walk(rng, tmp_path, monkeypatch, case):
+    model, X = _walk_case(case, rng, tmp_path)
+    # blocks of 64 rows: the 200 rows make three full blocks and a tail of 8
+    monkeypatch.setattr(tree, "ROW_BLOCK_FLOATS", 64 * model.n_features)
+    blocks = tree.row_blocks(*X.shape)
+    assert [b.stop - b.start for b in blocks] == [64, 64, 64, 8]
+    _check_walk_against_scalar_walks(model, X, rng)
+
+
 def test_tree_split_arrays_are_read_only_copies():
-    # the walk arrays are built once, so the arrays they come from must not change
+    # the edge table is built once, so the arrays it comes from must not change
     feature = np.array([0, LEAF, LEAF])
     tree = Tree(feature=feature, threshold=np.array([0.5, math.nan, math.nan]),
                 left=np.array([1, LEAF, LEAF]), right=np.array([2, LEAF, LEAF]),
@@ -609,6 +657,25 @@ def test_csv_readers_reject_the_same_cells(tmp_path, reader, cell, reason):
     prefix, read, error = _READERS[reader]
     path = tmp_path / "t.csv"
     path.write_bytes(prefix + cell + b"\n")
+    with pytest.raises(error) as exc:
+        read(path)
+    assert str(exc.value) == f"{path}{reason}"
+
+
+@pytest.mark.parametrize("reader", sorted(_READERS))
+@pytest.mark.parametrize(
+    "cell, reason",
+    [(b"zz", ":5: non-numeric value"), (b"6,7", ":5: expected 3 fields, got 4"),
+     (b"nan", ":5: non-finite value")],
+)
+def test_csv_errors_name_the_physical_line(tmp_path, reader, cell, reason):
+    # a quoted header field holding a line break: the header takes lines 1
+    # and 2, so the bad row, the file's fourth record, sits on line 5
+    prefix, read, error = _READERS[reader]
+    header, rest = prefix.split(b"\n", 1)
+    head, last = header.rsplit(b",", 1)
+    path = tmp_path / "t.csv"
+    path.write_bytes(head + b',"' + last + b'\nx"\n' + rest + cell + b"\n")
     with pytest.raises(error) as exc:
         read(path)
     assert str(exc.value) == f"{path}{reason}"
