@@ -42,7 +42,6 @@ from .shapley import (
     ShapMatrix,
     base_value,
     exact_group_shapley,
-    exact_individual_shapley,
     read_grouping_file,
     read_shap_csv,
     tree_group_shap,

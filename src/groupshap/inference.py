@@ -11,9 +11,11 @@ R x S x K stack of samples as well as one S x K sample: every per-sample
 quantity then gains a leading axis of length R, so a block of Monte Carlo
 replications is one pass, and one sample's quantities are numpy scalars.
 
-Every test is scale invariant, and moments brings a sample of extreme scale
-to unit scale by an exact power of two, so each test gives the unit-scale
-result, to rounding, wherever in the float range the sample lies.
+Every test is scale invariant, and moments divides every sample by exact
+powers of two and every statistic is built from products, so each test gives
+the same bits for a sample and for that sample times any power of two that
+leaves no entry subnormal. Raw moments and report fields are in units of
+phi / scale.
 
 A test's result is read in one place: a TestReport, or for a stack its
 Outcomes. GS reports its parts there too: the screening term T0 and the
@@ -51,7 +53,7 @@ class SampleMoments:
     when S <= K, where Wald is degenerate and nothing reads it. For a stack
     every field gains a leading axis of length R: mean is R x K, tr1 has
     length R. The fields are the moments of phi / scale, where scale is the
-    power of two that moments divided the sample by (1 for most samples).
+    power of two that moments divided the sample by, one per sample.
     """
 
     def __init__(self, mean, S, tr1, tr2_hat, tr3_hat, diag, cov=None, scale=1.0):
@@ -91,60 +93,55 @@ def _as_phi(phi, stacked: bool = False) -> np.ndarray:
     return phi
 
 
-def _pow(x, n: int):
-    """x**n element by element with Python's float power, which calls the C
-    library's pow (numpy's power rounds differently in the last bit); it
-    raises OverflowError where the power overflows, which moments prevents."""
-    if not isinstance(x, np.ndarray) or x.ndim == 0:
-        return np.float64(float(x) ** n)
-    return np.array([v**n for v in x.tolist()])
+def _peak_exponent(x):
+    """The binary exponent of each sample's largest |entry|, which lies in
+    [2^(e-1), 2^e); frexp gives int32 exponents, which ldexp takes without a
+    cast, and 0 for a zero sample, so a constant sample keeps its zeros."""
+    return np.frexp(np.maximum(x.max(axis=(-2, -1)), -x.min(axis=(-2, -1))))[1]
 
 
 def moments(phi) -> SampleMoments:
     """Sample mean, covariance (divisor S-1) and trace estimates (unbiased
     for Gaussian rows) of an S x K sample, or of each sample of an R x S x K
-    stack.
+    stack, in units of phi / scale.
 
     The tr(Sigma^3) estimator's constant has roots at S=3, hence S >= 4.
-    A sample whose largest |entry| lies outside [2^-32, 2^32) is divided,
-    exactly and before its mean is taken, by the power of two that brings
-    that entry into [0.5, 1) ([0.5, 2) above 2^1023); scale records the
-    divisor. So no sum overflows, and the statistics are finite at every
-    scale.
+    Each sample is divided by the power of two that brings its largest
+    |entry| into [0.5, 1) before its mean is taken, so no sum overflows, and
+    then by the one that does the same for its centred entries, so a spread
+    tiny beside the level does not underflow. scale is the total divisor,
+    clamped to [2^-1074, 2^1023] to stay finite and nonzero (the centred
+    peak then lies in [0.5, 4) at the top of the float range).
     """
     phi = _as_phi(phi, stacked=True)
     *lead, S, K = phi.shape
     if S <= 3:
         raise SampleTooSmall(f"need S >= 4 observations, got {S}")
-    peak = np.abs(phi).max(axis=(-2, -1), initial=0.0)
-    # A sample inside the band keeps scale 1, and so every bit: C pow is not
-    # scale-equivariant in the last bit. Without this normalisation GS ran for
-    # unit-normal samples scaled by 2^-80 to 2^84 on every shape tried, so the
-    # band leaves at least 45 binary orders of scale before its degree-12 terms
-    # k2^3 and k3^2 leave the float range. frexp's exponent is 0 at 0 (a zero
-    # sample); capped at 1023, scale stays finite.
-    inside = (peak >= 2.0**-32) & (peak < 2.0**32)
-    exponent = np.where(inside, 0, np.minimum(np.frexp(peak)[1], 1023))
-    if np.count_nonzero(exponent):
-        phi = np.ldexp(phi, -exponent[..., None, None])
-    mean = phi.mean(axis=-2)
-    centered = phi - mean[..., None, :]
+    first = _peak_exponent(phi)
+    # a new array, so it is centred and divided again in place
+    centered = np.ldexp(phi, -first[..., None, None])
+    mean = centered.mean(axis=-2)
+    centered -= mean[..., None, :]
+    exponent = np.clip(first + _peak_exponent(centered), -1074, 1023)
+    second = exponent - first
+    np.ldexp(centered, -second[..., None, None], out=centered)
+    mean = np.ldexp(mean, -second[..., None])
     diag = (centered * centered).sum(axis=-2) / (S - 1)
     # traces on the smaller of the S x S Gram and the K x K covariance matrix:
     # both have the same nonzero spectrum
     gram = S <= K
     transposed = centered.swapaxes(-1, -2)
-    # both products go to BLAS syrk, which fills one triangle and mirrors it,
-    # so a is exactly symmetric
+    # every product of a matrix with its own transpose goes to BLAS syrk,
+    # which fills one triangle and mirrors it, so a is exactly symmetric
     a = (centered @ transposed if gram else transposed @ centered) / (S - 1)
     tr1 = np.trace(a, axis1=-2, axis2=-1)
     t2 = (a * a).reshape(*lead, -1).sum(axis=-1)
-    t3 = ((a @ a) * a).reshape(*lead, -1).sum(axis=-1)
-    tr2_hat = (S - 1) ** 2 / ((S - 2) * (S + 1)) * (t2 - _pow(tr1, 2) / (S - 1))
+    t3 = ((a @ a.swapaxes(-1, -2)) * a).reshape(*lead, -1).sum(axis=-1)
+    tr2_hat = (S - 1) ** 2 / ((S - 2) * (S + 1)) * (t2 - tr1 * tr1 / (S - 1))
     tr3_hat = (
         (S - 1) ** 4
         / ((S**2 + S - 6) * (S**2 - 2 * S - 3))
-        * (t3 - 3 * tr1 * t2 / (S - 1) + 2 * _pow(tr1, 3) / (S - 1) ** 2)
+        * (t3 - 3 * tr1 * t2 / (S - 1) + 2 * (tr1 * tr1 * tr1) / (S - 1) ** 2)
     )
     scale = np.ldexp(1.0, exponent)
     return SampleMoments(mean, S, tr1, tr2_hat, tr3_hat, diag, None if gram else a, scale)
@@ -293,7 +290,7 @@ def _gs_outcomes(m: SampleMoments, alpha: float) -> Outcomes:
     # the three-cumulant match; 8 * (a / b) has the bits of 8 * a / b, and d
     # is inf at k3 = 0, as k2^3 > 0 after scaling
     k3 = 8.0 * (S - 2) * m.tr3_hat / (S**2 * (S - 1) ** 2)
-    d = 8.0 * (_pow(k2, 3) / _pow(k3, 2))
+    d = 8.0 * (k2 * k2 * k2 / (k3 * k3))
     extra = _t0(m)
     stat = extra["t0"] + normalized
     dfd = (S - 1) * d
@@ -314,21 +311,20 @@ def _gs_fields(x: dict, r) -> dict:
     k2, k3 = float(x["k2_hat"][r]), float(x["k3_hat"][r])
     beta0 = beta1 = math.nan
     if k3 != 0.0:
-        beta0, beta1 = -2.0 * k2**2 / k3, k3 / (4.0 * k2)
+        beta0, beta1 = -2.0 * k2 * k2 / k3, k3 / (4.0 * k2)
     fallback = bool(x["normal_fallback"][r])
     approx = ChiSqApprox(beta0, beta1, float(x["d"][r]), k2, k3, fallback)
     details = {
         "t1_raw": float(x["t1_raw"][r]),
         "screen_cutoff": x["screen_cutoff"],
         "n_screened": int(x["n_screened"][r]),
+        "scale": float(x["scale"][r]),  # t1_raw is in units of (phi / scale)^2
     }
     skipped = tuple(np.flatnonzero(~x["positive"][r]).tolist())
     if skipped:
         details["skipped_coordinates"] = skipped
     if fallback:
         details["normal_fallback"] = True
-    if x["scale"][r] != 1.0:  # the raw fields are in units of phi / scale
-        details["scale"] = float(x["scale"][r])
     components = {"t0": float(x["t0"][r]), "t1_normalized": float(x["t1_normalized"][r])}
     return {"components": components, "approx": approx, "details": details}
 
@@ -368,8 +364,8 @@ def _wald_outcomes(m: SampleMoments, alpha: float) -> Outcomes:
             except np.linalg.LinAlgError:
                 singular[r] = True
     dl = np.diagonal(chol, axis1=-2, axis2=-1)
-    ill = _pow(np.minimum.reduce(dl, axis=-1) / np.maximum.reduce(dl, axis=-1), 2)
-    ill = ill < WALD_MIN_RCOND
+    ratio = np.minimum.reduce(dl, axis=-1) / np.maximum.reduce(dl, axis=-1)
+    ill = ratio * ratio < WALD_MIN_RCOND
     z = np.full(m.mean.shape, math.nan)
     zs, factors, means = z.reshape(-1, K), chol.reshape(-1, K, K), m.mean.reshape(-1, K)
     for r, solvable in enumerate(np.ravel(~(singular | ill)).tolist()):
@@ -424,9 +420,8 @@ def _cq_outcomes(m: SampleMoments, alpha: float) -> Outcomes:
 
 
 def _cq_fields(x: dict, r) -> dict:
-    details = {"u_statistic": float(x["u_statistic"][r])}
-    if x["scale"][r] != 1.0:  # u is in units of (phi / scale)^2
-        details["scale"] = float(x["scale"][r])
+    # u is in units of (phi / scale)^2
+    details = {"u_statistic": float(x["u_statistic"][r]), "scale": float(x["scale"][r])}
     return {"details": details}
 
 

@@ -250,14 +250,6 @@ def exact_group_shapley(model: TreeEnsemble, x, grouping: FeatureGrouping) -> np
     return phi[0] if one else phi
 
 
-def exact_individual_shapley(model: TreeEnsemble, x) -> np.ndarray:
-    """Exact Shapley per feature: the singleton-grouping special case."""
-    names = model.feature_names or [f"f{i}" for i in range(model.n_features)]
-    return exact_group_shapley(
-        model, x, FeatureGrouping.singletons(model.n_features, list(names))
-    )
-
-
 # --------------------------------------------------------------------------
 # fast per-node path attribution
 

@@ -472,7 +472,9 @@ def train_gbm(
 
     base_score is mean(y); each stage fits the current residuals and is shrunk
     by the learning rate (leaf and internal node values carry the shrinkage).
-    A constant target yields zero-output trees, not an error.
+    A constant target yields zero-output trees, not an error. X is checked
+    by feature_matrix (ShapeError); a target that is not one finite number
+    per row raises DataError.
     """
     if data.y is None:
         raise TargetRequired("train_gbm needs a dataset with a target column")
@@ -483,12 +485,16 @@ def train_gbm(
     ]:
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
-    if data.n_rows < 2 * min_samples_leaf:
-        raise DataError(
-            f"need at least {2 * min_samples_leaf} rows, got {data.n_rows}"
-        )
-    X = np.ascontiguousarray(data.X, dtype=float)
+    X, _ = feature_matrix(data.X, len(data.columns))
     y = np.asarray(data.y, dtype=float)
+    if y.shape != X.shape[:1]:
+        raise DataError(f"expected a target of {X.shape[0]} values, got shape {y.shape}")
+    if not np.isfinite(y).all():
+        raise DataError("target holds a non-finite value")
+    if X.shape[0] < 2 * min_samples_leaf:
+        raise DataError(
+            f"need at least {2 * min_samples_leaf} rows, got {X.shape[0]}"
+        )
     base = float(y.mean())
     resid = y - base
     # one stable presort per column, with its sorted values, serves every

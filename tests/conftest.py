@@ -334,26 +334,31 @@ def reference_moments(phi):
     """Moments of one S x K sample, as the library computed them one
     replication at a time before the statistics were stacked, of the sample
     divided by the power of two that brings its largest |entry| into
-    [0.5, 1) where that entry lies outside [2^-32, 2^32)."""
+    [0.5, 1), then centred and divided by the power of two that brings its
+    largest |centred entry| into [0.5, 1), the total divisor clamped to
+    [2^-1074, 2^1023]."""
     phi = np.asarray(phi, dtype=float)
     S, K = phi.shape
-    peak = float(np.abs(phi).max())
-    if not 2.0**-32 <= peak < 2.0**32:
-        phi = np.ldexp(phi, -math.frexp(peak)[1])
+    first = math.frexp(float(np.abs(phi).max()))[1]
+    phi = np.ldexp(phi, -first)
     mean = phi.mean(axis=0)
     centered = phi - mean
+    spread = math.frexp(float(np.abs(centered).max()))[1]
+    exponent = min(max(first + spread, -1074), 1023)
+    centered = np.ldexp(centered, first - exponent)
+    mean = np.ldexp(mean, first - exponent)
     diag = (centered * centered).sum(axis=0) / (S - 1)
     gram = S <= K
     a = (centered @ centered.T if gram else centered.T @ centered) / (S - 1)
     a = (a + a.T) / 2.0
     tr1 = float(np.trace(a))
     t2 = float((a * a).sum())
-    t3 = float(((a @ a) * a).sum())
-    tr2_hat = (S - 1) ** 2 / ((S - 2) * (S + 1)) * (t2 - tr1**2 / (S - 1))
+    t3 = float(((a @ a.T) * a).sum())
+    tr2_hat = (S - 1) ** 2 / ((S - 2) * (S + 1)) * (t2 - tr1 * tr1 / (S - 1))
     tr3_hat = (
         (S - 1) ** 4
         / ((S**2 + S - 6) * (S**2 - 2 * S - 3))
-        * (t3 - 3 * tr1 * t2 / (S - 1) + 2 * tr1**3 / (S - 1) ** 2)
+        * (t3 - 3 * tr1 * t2 / (S - 1) + 2 * (tr1 * tr1 * tr1) / (S - 1) ** 2)
     )
     return SimpleNamespace(
         mean=mean, S=S, K=K, tr1=tr1, tr2_hat=tr2_hat, tr3_hat=tr3_hat, diag=diag,
@@ -385,7 +390,7 @@ def _reference_gs(m, alpha):
     k3 = 8.0 * (m.S - 2) * m.tr3_hat / (m.S**2 * (m.S - 1) ** 2)
     fallback = k3 == 0.0
     if not fallback:
-        d = 8.0 * (k2**3 / k3**2)
+        d = 8.0 * (k2 * k2 * k2 / (k3 * k3))
     cutoff = 9.0 * math.log(math.log(m.S)) ** 2 * math.log(max(m.K, 2))
     positive = m.diag > 0.0
     h = np.zeros(m.K)
@@ -413,7 +418,8 @@ def _reference_wald(m, alpha):
     except np.linalg.LinAlgError:
         return _reference_outcome("wald", degenerate="SingularCovariance")
     dl = np.diag(chol)
-    if (dl.min() / dl.max()) ** 2 < 1e-13:
+    ratio = dl.min() / dl.max()
+    if ratio * ratio < 1e-13:
         return _reference_outcome("wald", degenerate="SingularCovariance")
     z = linalg.solve_triangular(chol, m.mean, lower=True, check_finite=False)
     quad = float(z @ z)

@@ -192,7 +192,8 @@ def test_criterion_5_identity_suite():
         S = int(rng.integers(4, 30))
         K = int(rng.integers(1, 10))
         phi = rng.normal(size=(S, K)) * rng.uniform(0.2, 5.0)
-        raw = gs_test(phi).details["t1_raw"]
+        details = gs_test(phi).details
+        raw = details["t1_raw"] * details["scale"] ** 2
         total = 0.0
         for i in range(S):
             for j in range(S):
@@ -226,8 +227,8 @@ def test_criterion_5_identity_suite():
     # a block of stacked samples draws what as many single draws would
     for start in range(0, reps, block):
         m = moments(mc.standard_normal((block, S, 2)) @ root)
-        t2s[start:start + block] = m.tr2_hat
-        t3s[start:start + block] = m.tr3_hat
+        t2s[start:start + block] = m.tr2_hat * m.scale**4
+        t3s[start:start + block] = m.tr3_hat * m.scale**6
     ok_mc = True
     for est, truth, label in ((t2s, 5.0, "tr2"), (t3s, 9.0, "tr3")):
         se = est.std(ddof=1) / math.sqrt(reps)

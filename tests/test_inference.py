@@ -45,12 +45,14 @@ def _pairwise_u(phi):
 
 def test_moments_hand_example_five_points():
     m = moments(FIVE_POINTS)
-    assert m.cov[0, 0] == pytest.approx(2.5)
-    assert m.tr1 == pytest.approx(2.5)
+    # the fields are in units of phi / scale; the centred peak 2 gives scale 4
+    assert m.scale == 4.0
+    assert m.cov[0, 0] * m.scale**2 == pytest.approx(2.5)
+    assert m.tr1 * m.scale**2 == pytest.approx(2.5)
     # (S-1)^2/((S-2)(S+1)) * (6.25 - 6.25/4) = 8/9 * 4.6875 = 25/6
-    assert m.tr2_hat == pytest.approx(25 / 6, rel=1e-12)
+    assert m.tr2_hat * m.scale**4 == pytest.approx(25 / 6, rel=1e-12)
     # (S-1)^4/((S^2+S-6)(S^2-2S-3)) * (15.625 - 11.71875 + 1.953125) = 8/9 * 375/64
-    assert m.tr3_hat == pytest.approx(125 / 24, rel=1e-12)
+    assert m.tr3_hat * m.scale**6 == pytest.approx(125 / 24, rel=1e-12)
 
 
 def test_moments_identical_rows_are_flat():
@@ -70,7 +72,7 @@ def test_moments_covariance_is_symmetric_and_matches_gram_path(rng):
     phi = rng.normal(size=(10, 25))  # S < K triggers the Gram route
     m = moments(phi)
     assert m.cov is None
-    direct = np.cov(phi, rowvar=False)
+    direct = np.cov(phi / m.scale, rowvar=False)  # exact: scale is a power of two
     np.testing.assert_allclose(m.tr1, np.trace(direct), rtol=1e-10)
     np.testing.assert_allclose(m.diag, np.diag(direct), rtol=1e-10)
     # trace statistics agree with the explicit covariance powers
@@ -97,7 +99,7 @@ def test_trace_estimators_unbiased_small_mc():
     root = np.diag([1.0, math.sqrt(2.0)])
     rng = np.random.default_rng(7)
     m = moments(rng.standard_normal((reps, 20, 2)) @ root)
-    t2s, t3s = m.tr2_hat, m.tr3_hat
+    t2s, t3s = m.tr2_hat * m.scale**4, m.tr3_hat * m.scale**6
     for est, truth in ((t2s, 5.0), (t3s, 9.0)):
         se = est.std(ddof=1) / math.sqrt(reps)
         assert abs(est.mean() - truth) <= 3 * se
@@ -109,8 +111,9 @@ def test_trace_estimators_unbiased_small_mc():
 
 def test_t1_hand_example():
     rep = gs_test(FIVE_POINTS)
-    assert rep.details["t1_raw"] == pytest.approx(-0.5)
-    assert rep.approx.k2_hat == pytest.approx(2 * (25 / 6) / 20, rel=1e-12)
+    scale = rep.details["scale"]
+    assert rep.details["t1_raw"] * scale**2 == pytest.approx(-0.5)
+    assert rep.approx.k2_hat * scale**4 == pytest.approx(2 * (25 / 6) / 20, rel=1e-12)
     assert rep.components["t1_normalized"] == pytest.approx(-math.sqrt(0.6), rel=1e-9)  # -0.77460
 
 
@@ -134,7 +137,8 @@ def test_t1_matches_pairwise_oracle(rng):
         S = int(rng.integers(4, 12))
         K = int(rng.integers(1, 6))
         phi = rng.normal(size=(S, K)) * rng.uniform(0.5, 3)
-        raw = gs_test(phi).details["t1_raw"]
+        details = gs_test(phi).details
+        raw = details["t1_raw"] * details["scale"] ** 2
         oracle = _pairwise_u(phi)
         assert raw == pytest.approx(oracle, rel=1e-10, abs=1e-12)
 
@@ -366,7 +370,8 @@ def test_cq_statistic_is_normalized_u(rng):
     phi = rng.normal(size=(15, 3))
     rep = cq_test(phi, 0.05)
     assert rep.statistic == pytest.approx(gs_test(phi).components["t1_normalized"], rel=1e-12)
-    assert rep.details["u_statistic"] == pytest.approx(_pairwise_u(phi), rel=1e-10)
+    u = rep.details["u_statistic"] * rep.details["scale"] ** 2
+    assert u == pytest.approx(_pairwise_u(phi), rel=1e-10)
 
 
 # --------------------------------------------------------------------------
@@ -518,10 +523,12 @@ def test_scale_outside_the_float_range_is_degenerate_not_an_error(scale, S):
     unit = np.random.default_rng(5).normal(size=(S, 3))
     phi = unit * scale
     m, m_unit = moments(phi), moments(unit)
-    assert m_unit.scale == 1.0
-    mantissa, _ = math.frexp(m.scale)
-    peak = np.abs(phi).max() / m.scale
-    assert mantissa == 0.5 and 0.5 <= peak < (2.0 if m.scale == 2.0**1023 else 1.0)
+    # scale is the power of two that brings the centred peak into [0.5, 1),
+    # or into [0.5, 4) where it is clamped at 2^1023
+    for x, sample in ((m, phi), (m_unit, unit)):
+        mantissa, _ = math.frexp(x.scale)
+        spread = np.abs(sample / x.scale - x.mean).max()
+        assert mantissa == 0.5 and 0.5 <= spread < (4.0 if x.scale == 2.0**1023 else 1.0)
     gs, gs_unit = (run_tests_from_moments(x, 0.05, ("gs",))[0] for x in (m, m_unit))
     t1, t1_unit = (rep.components["t1_normalized"] for rep in (gs, gs_unit))
     assert math.isclose(t1, t1_unit, rel_tol=1e-9)
@@ -533,9 +540,9 @@ def test_scale_outside_the_float_range_is_degenerate_not_an_error(scale, S):
         assert rep.degenerate is None, (rep.test, rep.group)
         for name in ("statistic", "p_value"):
             assert math.isclose(getattr(rep, name), getattr(ref, name), rel_tol=1e-9)
-    # GS and CQ name the scale of their raw fields, and only where it is not 1
-    assert [("scale" in rep.details) for rep in got] == [rep.test != "wald" for rep in got]
-    assert not any("scale" in rep.details for rep in want)
+    # GS and CQ name the scale of their raw fields on every report
+    both = got + want
+    assert [("scale" in rep.details) for rep in both] == [rep.test != "wald" for rep in both]
     assert gs_test(phi).details["scale"] == cq_test(phi).details["scale"] == m.scale
 
 
@@ -569,6 +576,50 @@ def test_scale_stays_finite_at_the_top_of_the_float_range(rng):
         rep, ref = test(phi), test(np.ldexp(phi, -1000))
         assert rep.details["scale"] == 2.0**1023
         assert math.isclose(rep.statistic, ref.statistic, rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("S,K", [(30, 3), (12, 20)])
+def test_every_power_of_two_scale_gives_the_same_bits(S, K):
+    # moments divides sample * 2^k by the same powers of two, times 2^k, as
+    # the sample itself, so every test sees the same normalised numbers
+    phi = np.random.default_rng(S * K).normal(size=(S, K))
+    k = np.arange(-900, 901)
+    stack = np.ldexp(phi, k[:, None, None].astype(np.intc))
+    want = outcomes_from_moments(moments(phi), 0.05, ALL_TESTS)
+    for o, ref in zip(outcomes_from_moments(moments(stack), 0.05, ALL_TESTS), want):
+        assert np.array_equal(o.flag, np.full(len(k), ref.flag))
+        for name in ("statistic", "critical_value", "p_value"):
+            got, one = getattr(o, name), getattr(ref, name)
+            assert np.array_equal(got, np.full(len(k), one), equal_nan=True), (o.test, name)
+    unit = run_tests_from_moments(moments(phi), 0.05, ALL_TESTS)
+    for r in (0, 450, 900, 1350, 1800):  # one sample at a time, as the CLI runs it
+        for rep, ref in zip(run_tests_from_moments(moments(stack[r]), 0.05, ALL_TESTS), unit):
+            assert (rep.statistic, rep.critical_value, rep.p_value, rep.degenerate) == (
+                ref.statistic, ref.critical_value, ref.p_value, ref.degenerate
+            )
+
+
+def test_spread_tiny_beside_the_level_is_not_lost():
+    # a constant column at 2^-30 and two columns of noise 2^-302 below it:
+    # the centred sample is normalised on its own peak, so the noise keeps
+    # its bits and GS and CQ give the result of the sample times 2^664
+    rng = np.random.default_rng(11)
+    phi = np.empty((300, 3))
+    phi[:, 0] = 2.0**-30
+    phi[:, 1:] = np.ldexp(rng.normal(size=(300, 2)), -332)
+    for test in (gs_test, cq_test):
+        rep, ref = test(phi), test(np.ldexp(phi, 664))
+        assert rep.degenerate is None and ref.degenerate is None
+        assert (rep.statistic, rep.critical_value, rep.p_value) == (
+            ref.statistic, ref.critical_value, ref.p_value
+        )
+        assert rep.details["scale"] == np.ldexp(ref.details["scale"], -664)
+    # with the noise 2^-634 below the level, the squared mean norm is about
+    # 2^1268 times the spread: the spread is seen, but the statistic does not
+    # fit a float
+    phi[:, 1:] = np.ldexp(phi[:, 1:], -332)
+    for test in (gs_test, cq_test):
+        assert test(phi).degenerate == "FloatRange"
 
 
 def test_columns_2_to_the_600_apart_leave_wald_singular(rng):

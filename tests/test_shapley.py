@@ -13,7 +13,6 @@ from groupshap.shapley import (
     ShapMatrix,
     base_value,
     exact_group_shapley,
-    exact_individual_shapley,
     read_grouping_file,
     read_shap_csv,
     tree_group_shap,
@@ -205,17 +204,9 @@ def test_zero_tree_ensemble_checks_row_width():
             exact_group_shapley(model, x, grouping)
 
 
-def test_individual_is_singleton_special_case(rng):
-    model = random_ensemble(rng, 4, 2, 3)
-    x = rng.uniform(size=4)
-    indiv = exact_individual_shapley(model, x)
-    grouped = exact_group_shapley(model, x, FeatureGrouping.singletons(4))
-    np.testing.assert_array_equal(indiv, grouped)
-
-
 def test_single_feature_model():
     model = TreeEnsemble(trees=[stump(0, 0.5, 1.0, 2.0)], n_features=1, base_score=0.0)
-    phi = exact_individual_shapley(model, [0.9])
+    phi = exact_group_shapley(model, [0.9], FeatureGrouping.singletons(1))
     assert phi[0] == pytest.approx(model.predict([0.9]) - base_value(model))
 
 
@@ -224,7 +215,7 @@ def test_additive_model_splits_by_feature(rng):
     stumps = [stump(f, 0.5, float(rng.normal()), float(rng.normal())) for f in range(3)]
     model = TreeEnsemble(trees=stumps, n_features=3, base_score=0.3)
     x = rng.uniform(size=3)
-    phi = exact_individual_shapley(model, x)
+    phi = exact_group_shapley(model, x, FeatureGrouping.singletons(3))
     for f, t in enumerate(stumps):
         own = value_function(
             TreeEnsemble(trees=[t], n_features=3, base_score=0.0), x, [f]

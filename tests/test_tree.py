@@ -339,6 +339,22 @@ def test_missing_target_raises():
         train_gbm(data)
 
 
+@pytest.mark.parametrize("where", ["inf in y", "nan in X", "short y"])
+def test_train_gbm_rejects_bad_inputs(rng, where):
+    # a Dataset built in code bypasses the CSV reader's checks; an inf target
+    # would otherwise train and write a model with base_score Infinity
+    X, y = rng.normal(size=(40, 2)), rng.normal(size=40)
+    if where == "inf in y":
+        y[7] = np.inf
+    elif where == "nan in X":
+        X[3, 1] = np.nan
+    else:
+        y = y[:-1]
+    error = ShapeError if where == "nan in X" else DataError
+    with pytest.raises(error):
+        train_gbm(Dataset(X=X, y=y, columns=["a", "b"]), n_trees=2)
+
+
 def test_too_few_rows_raises():
     data = Dataset(X=np.ones((6, 1)), y=np.ones(6), columns=["a"])
     with pytest.raises(DataError):
