@@ -63,6 +63,7 @@ from .tree import (
     Dataset,
     Tree,
     TreeEnsemble,
+    TreeShapeError,
     load_model,
     read_csv_dataset,
     save_model,

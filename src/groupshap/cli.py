@@ -488,7 +488,15 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="attribution CSV to write")
     p.set_defaults(func=_cmd_explain)
 
-    p = sub.add_parser("test", help="significance tests on attribution matrices")
+    p = sub.add_parser(
+        "test",
+        help="significance tests on attribution matrices",
+        description="Tests, for each group, the null hypothesis that its attributions "
+        "have mean zero on the rows given: whether the group moves the average "
+        "prediction on these rows, not whether the model uses it. Path attributions "
+        "of a model's own training rows are centred by construction, so on them "
+        "every group gets p near 1.",
+    )
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--shap", help="grouped attribution CSV (tests each group column)")
     src.add_argument("--individual-shap", help="per-feature attribution CSV")

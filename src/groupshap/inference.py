@@ -464,6 +464,14 @@ def group_joint_test(
     tests the single summed column (which is exactly the group attribution
     for path-based matrices). The reduced form discards the within-group
     structure and tends to lose power on sparse signals.
+
+    Every test's null hypothesis is that the group's attributions have mean
+    zero on these rows: a mean test of signed attributions asks whether the
+    group moves the average prediction on the rows given, not whether the
+    model uses the group. Path attributions of a model's own training rows
+    are centred by construction (the cover-weighted deltas of every split
+    cancel over the rows that reach it), so on those rows every group gets
+    p near 1.
     """
     if mode not in ("joint", "reduced"):
         raise ValueError("mode must be 'joint' or 'reduced'")

@@ -266,16 +266,15 @@ def tree_group_shap(model: TreeEnsemble, X, grouping: FeatureGrouping) -> ShapMa
     The deltas telescope, so each row satisfies sum(phi) + base = prediction
     exactly. On single-split stumps this coincides with the exact oracle.
 
-    Each tree's delta (value[child] - value[node]) and group per edge of
-    ``Tree.descend`` are tabled on each call, from the tree's current
-    ``value``, which load validation rewrites after the tree is built. The
-    rows are walked in blocks (``row_blocks``), every tree in turn within a
-    block. Each level moves every row of the block once, so one flat
-    ``np.add.at`` at ``row * K + group`` meets each cell at most once and
-    adds each row's delta to its own cell, in the order a per-row walk adds
-    them. A row already at its leaf adds value - value = +0.0, which leaves
-    its cell's bits unchanged because no cell ever holds -0.0 (it starts at
-    +0.0, and a sum is -0.0 only when both terms are).
+    Each edge of ``Tree.descend`` adds its ``edge_delta`` to the group of its
+    split feature, tabled per call. The rows are walked in blocks
+    (``row_blocks``), every tree in turn within a block. Each level moves
+    every row of the block once, so one flat ``np.add.at`` at ``row * K +
+    group`` meets each cell at most once and adds each row's delta to its own
+    cell, in the order a per-row walk adds them. A row already at its leaf
+    adds +0.0, which leaves its cell's bits unchanged because no cell ever
+    holds -0.0 (it starts at +0.0, and a sum is -0.0 only when both terms
+    are).
     """
     if grouping.n_features != model.n_features:
         raise ShapeError("grouping does not match the model's feature count")
@@ -284,10 +283,7 @@ def tree_group_shap(model: TreeEnsemble, X, grouping: FeatureGrouping) -> ShapMa
     K = grouping.n_groups
     f2g = grouping.feature_to_group()
     # a leaf's group is any valid one: its self-loop adds value - value
-    tables = [
-        (t, f2g.take(t.edge_feature), t.value.take(t.edge_next >> 1) - np.repeat(t.value, 2))
-        for t in model.trees
-    ]
+    tables = [(t, f2g.take(t.edge_feature), t.edge_delta) for t in model.trees]
     phi = np.zeros((S, K))
     for rows in row_blocks(*X.shape):
         block, cells = X[rows], phi[rows].ravel()

@@ -6,6 +6,10 @@ carries ``cover`` (training rows that reached it) and ``value`` (leaf output
 for leaves, cover-weighted mean of the children for internal nodes), which is
 what the attribution code walks.
 
+A ``Tree`` is checked by one preorder walk and frozen at construction, with
+its per-edge tables built then. Training and loading compute internal values
+by one bottom-up pass, so a trained model is a fixed point of save and load.
+
 Every row-wise traversal is ``Tree.descend``, over the tree's edge table: an
 edge ``2 * node + went_left`` indexes the child it leads to, and a leaf's two
 edges loop back to the leaf, so one level of the walk is one gather from X,
@@ -52,23 +56,76 @@ class DataError(GroupShapError):
     """Dataset ingestion or precondition failure."""
 
 
+class TreeShapeError(ValueError):
+    """Node arrays that are not one tree; ``node`` is the node at fault."""
+
+    def __init__(self, reason: str, node: int | None = None):
+        super().__init__(reason if node is None else f"{reason} (node {node})")
+        self.reason, self.node = reason, node
+
+
+def _preorder(feature, left, right, root=None) -> tuple[list[int], int]:
+    """A tree's nodes in preorder from its root, and its depth, from its node
+    lists. Raises TreeShapeError unless every child is a node, the root (if
+    given) is the only node without a parent, every other node has one, and
+    the root reaches every node."""
+    n = len(feature)
+    parents = [0] * n
+    for i, f in enumerate(feature):
+        if f != LEAF:
+            for child in (left[i], right[i]):
+                if not 0 <= child < n:
+                    raise TreeShapeError("child ids out of range", i)
+                parents[child] += 1
+    roots = [i for i in range(n) if not parents[i]]
+    if not roots:
+        raise TreeShapeError("every node has a parent, so the nodes form a cycle")
+    root = roots[0] if root is None else root
+    if roots != [root]:
+        raise TreeShapeError("the root must be the only parentless node", min(set(roots) - {root}))
+    if max(parents) > 1:
+        raise TreeShapeError("node has more than one parent", parents.index(max(parents)))
+    # with one parent for every node but the root, the walk meets no node
+    # twice; a cycle apart from the root is left unreached
+    order, depth, stack = [], 0, [(root, 0)]
+    while stack:
+        i, d = stack.pop()
+        order.append(i)
+        depth = max(depth, d)
+        if feature[i] != LEAF:
+            stack += [(left[i], d + 1), (right[i], d + 1)]
+    if len(order) < n:
+        raise TreeShapeError("unreachable nodes in tree", min(set(range(n)) - set(order)))
+    return order, depth
+
+
+def _cover_weighted_values(order, feature, left, right, value, cover) -> list[float]:
+    """``value`` with each internal node's replaced, children first, by
+    ``(cover[l] * value[l] + cover[r] * value[r]) / cover[node]``, the
+    cover-weighted mean of its children's. ``order`` lists parents first."""
+    value = list(value)
+    for i in reversed(order):
+        if feature[i] != LEAF:
+            l, r = left[i], right[i]
+            value[i] = (cover[l] * value[l] + cover[r] * value[r]) / cover[i]
+    return value
+
+
 @dataclass(frozen=True)
 class Tree:
-    """One binary regression tree as parallel node arrays.
+    """One binary regression tree as parallel node arrays, checked and frozen.
 
-    The walk reads the tree through its edge table. Edge ``2 * node +
-    went_left`` leaves ``node`` to the left (went_left = 1) or to the right
-    (0). Three read-only arrays are indexed by edge: ``edge_feature`` and
-    ``edge_threshold`` hold the split of the edge's node (both edges of a
-    node hold the same one), and ``edge_next`` holds ``2 * child``, the
-    first edge of the node the edge leads to. A leaf splits as
-    ``x[0] <= +inf``, which holds for every finite x, and both its edges lead
-    back to it.
+    Construction raises ``TreeShapeError`` (a ValueError) unless the nodes
+    form one tree rooted at ``root``. The six node arrays are stored as
+    read-only copies, so the tables built from them can never go stale.
 
-    The split arrays (feature, threshold, left, right) are stored as
-    read-only copies and the tree is frozen, so the edge table built from
-    them at construction can never go stale. ``value`` and ``cover`` stay
-    writable; the walk does not read them.
+    Edge ``2 * node + went_left`` leaves ``node`` to the left (went_left =
+    1) or to the right (0). Five read-only tables are indexed by edge: the
+    split of the edge's node (``edge_feature``, ``edge_threshold``), ``2 *
+    child`` for the node it leads to (``edge_next``), that node's value
+    (``edge_value``) and value(child) - value(node) (``edge_delta``). A leaf
+    splits as ``x[0] <= +inf``, which holds for every finite x, and both its
+    edges lead back to it, with a delta of +0.0.
     """
 
     feature: np.ndarray  # int64, LEAF for leaves
@@ -82,35 +139,38 @@ class Tree:
     edge_feature: np.ndarray = field(init=False, repr=False, compare=False)
     edge_threshold: np.ndarray = field(init=False, repr=False, compare=False)
     edge_next: np.ndarray = field(init=False, repr=False, compare=False)
+    edge_value: np.ndarray = field(init=False, repr=False, compare=False)
+    edge_delta: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        split = {
-            "feature": np.array(self.feature, dtype=np.int64),
-            "threshold": np.array(self.threshold, dtype=float),
-            "left": np.array(self.left, dtype=np.int64),
-            "right": np.array(self.right, dtype=np.int64),
-        }
-        for name, a in split.items():
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
+        self._freeze(
+            feature=np.array(self.feature, dtype=np.int64),
+            threshold=np.array(self.threshold, dtype=float),
+            left=np.array(self.left, dtype=np.int64),
+            right=np.array(self.right, dtype=np.int64),
+            value=np.array(self.value, dtype=float),
+            cover=np.array(self.cover, dtype=float),
+        )
+        lists = [a.tolist() for a in (self.feature, self.left, self.right)]
+        _, depth = _preorder(*lists, self.root)
         leaf = self.feature == LEAF
         node = np.arange(self.n_nodes)
         right, left = np.where(leaf, node, self.right), np.where(leaf, node, self.left)
-        edges = {
-            "edge_feature": np.repeat(np.where(leaf, 0, self.feature), 2),
-            "edge_threshold": np.repeat(np.where(leaf, np.inf, self.threshold), 2),
-            "edge_next": 2 * np.column_stack([right, left]).ravel(),
-        }
-        for name, a in edges.items():
+        edge_next = 2 * np.column_stack([right, left]).ravel()
+        edge_value = self.value.take(edge_next >> 1)
+        self._freeze(
+            edge_feature=np.repeat(np.where(leaf, 0, self.feature), 2),
+            edge_threshold=np.repeat(np.where(leaf, np.inf, self.threshold), 2),
+            edge_next=edge_next,
+            edge_value=edge_value,
+            edge_delta=edge_value - np.repeat(self.value, 2),
+        )
+        object.__setattr__(self, "depth", depth)
+
+    def _freeze(self, **arrays):
+        for name, a in arrays.items():
             a.flags.writeable = False
             object.__setattr__(self, name, a)
-        is_leaf, left, right = leaf.tolist(), self.left.tolist(), self.right.tolist()
-        depth, level = 0, {self.root}
-        while level := {c for i in level if not is_leaf[i] for c in (left[i], right[i])}:
-            depth += 1
-            if depth >= self.n_nodes:
-                raise ValueError("tree nodes below the root form a cycle")
-        object.__setattr__(self, "depth", depth)
 
     @property
     def n_nodes(self) -> int:
@@ -141,8 +201,7 @@ class Tree:
         edges = np.full(X.shape[0], 2 * self.root)
         for edges in self.descend(X):
             pass
-        # the value of the leaf each edge leads to, per edge
-        return self.value.take(self.edge_next >> 1).take(edges)
+        return self.edge_value.take(edges)
 
 
 @dataclass
@@ -409,6 +468,9 @@ def _grow_tree(X, resid, order, xs, max_depth, min_leaf, scale) -> Tree:
     split sees its rows and their values presorted. A node's rows stay in
     increasing row order, so the filtered order equals a stable sort of the
     node's own values and the tree matches a per-node sort bit for bit.
+
+    A leaf's value is ``scale`` times its rows' mean residual; internal
+    values are those ``load_model`` computes (``_cover_weighted_values``).
     """
     feature, threshold, left, right, value, cover = [], [], [], [], [], []
 
@@ -439,26 +501,18 @@ def _grow_tree(X, resid, order, xs, max_depth, min_leaf, scale) -> Tree:
         row_left = X[:, f] <= thr
         go_left = row_left[rows]
         rows_left, rows_right = rows[go_left], rows[~go_left]
-        feature[node] = f
-        threshold[node] = thr
-        l_id = new_node(rows_left)
-        r_id = new_node(rows_right)
-        left[node] = l_id
-        right[node] = r_id
+        feature[node], threshold[node] = f, thr
+        l_id, r_id = new_node(rows_left), new_node(rows_right)
+        left[node], right[node] = l_id, r_id
         if depth + 1 < max_depth:
             to_left = row_left.take(order).ravel()
             to_left, to_right = np.flatnonzero(to_left), np.flatnonzero(~to_left)
             stack.append((l_id, rows_left, part(order, to_left), part(xs, to_left), depth + 1))
             stack.append((r_id, rows_right, part(order, to_right), part(xs, to_right), depth + 1))
 
-    return Tree(
-        feature=np.asarray(feature, dtype=np.int64),
-        threshold=np.asarray(threshold, dtype=float),
-        left=np.asarray(left, dtype=np.int64),
-        right=np.asarray(right, dtype=np.int64),
-        value=np.asarray(value, dtype=float),
-        cover=np.asarray(cover, dtype=float),
-    )
+    # ids are given in creation order, each node's after its parent's
+    value = _cover_weighted_values(range(len(feature)), feature, left, right, value, cover)
+    return Tree(feature, threshold, left, right, value, cover)
 
 
 def train_gbm(
@@ -518,21 +572,15 @@ def train_gbm(
 # serialization
 
 
+_NODE_KEYS = ("id", "feature", "threshold", "left", "right", "value", "cover")
+
+
 def _tree_to_nodes(t: Tree) -> list[dict]:
+    columns = [getattr(t, key).tolist() for key in _NODE_KEYS[1:]]
     nodes = []
-    for i in range(t.n_nodes):
-        leaf = t.feature[i] == LEAF
-        nodes.append(
-            {
-                "id": i,
-                "feature": None if leaf else int(t.feature[i]),
-                "threshold": None if leaf else float(t.threshold[i]),
-                "left": None if leaf else int(t.left[i]),
-                "right": None if leaf else int(t.right[i]),
-                "value": float(t.value[i]),
-                "cover": float(t.cover[i]),
-            }
-        )
+    for i, (f, thr, l, r, v, c) in enumerate(zip(*columns)):
+        split = [None] * 4 if f == LEAF else [f, thr, l, r]
+        nodes.append(dict(zip(_NODE_KEYS, [i, *split, v, c])))
     return nodes
 
 
@@ -550,166 +598,121 @@ def save_model(model: TreeEnsemble, path) -> None:
         fh.write("\n")
 
 
+def _json_number(v) -> float | None:
+    """A parsed JSON number as a float (an integer too large for one as an
+    infinity), or None for any other value, true, false and null included."""
+    if type(v) not in (int, float):
+        return None
+    try:
+        return float(v)
+    except OverflowError:
+        return math.copysign(math.inf, v)
+
+
 def _parse_tree(tree_doc, n_features: int, ti: int) -> Tree:
+    """One tree of a model file: its fields' JSON types, then its structure,
+    covers and values are checked before the Tree is built."""
     if not isinstance(tree_doc, dict) or "nodes" not in tree_doc:
         raise ModelParseError("tree entry must be an object with 'nodes'", ti)
     nodes = tree_doc["nodes"]
     if not isinstance(nodes, list) or not nodes:
         raise ModelParseError("'nodes' must be a non-empty array", ti)
     n = len(nodes)
-    feature = np.full(n, LEAF, dtype=np.int64)
-    threshold = np.full(n, math.nan)
-    left = np.full(n, LEAF, dtype=np.int64)
-    right = np.full(n, LEAF, dtype=np.int64)
-    value = np.zeros(n)
-    cover = np.zeros(n)
+    feature, threshold = [LEAF] * n, [math.nan] * n
+    left, right = [LEAF] * n, [LEAF] * n
+    value, cover = [0.0] * n, [0.0] * n
     seen = set()
     for pos, nd in enumerate(nodes):
         if not isinstance(nd, dict):
             raise ModelParseError("node must be an object", ti, pos)
         try:
-            i = nd["id"]
-            f = nd["feature"]
-            thr = nd["threshold"]
-            lc = nd["left"]
-            rc = nd["right"]
-            value_i = float(nd["value"])
-            cover_i = float(nd["cover"])
-            thr = None if thr is None else float(thr)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ModelParseError(f"bad node fields: {exc}", ti, pos) from None
-        if not isinstance(i, int) or not 0 <= i < n or i in seen:
+            i, f, thr, lc, rc, value_i, cover_i = [nd[key] for key in _NODE_KEYS]
+        except KeyError as exc:
+            raise ModelParseError(f"bad node fields: missing {exc}", ti, pos) from None
+        if type(i) is not int or not 0 <= i < n or i in seen:
             raise ModelParseError("node ids must be unique integers 0..n-1", ti, pos)
         seen.add(i)
-        internal_fields = [f, thr, lc, rc]
-        if any(v is None for v in internal_fields) != all(
-            v is None for v in internal_fields
-        ):
+        if len({v is None for v in (f, thr, lc, rc)}) > 1:
             raise ModelParseError(
-                "feature/threshold/left/right must be all present or all null",
-                ti,
-                i,
+                "feature/threshold/left/right must be all present or all null", ti, i
             )
+        thr, value_i, cover_i = (_json_number(v) for v in (thr, value_i, cover_i))
+        if value_i is None or cover_i is None or thr is None and f is not None:
+            raise ModelParseError("bad node fields: threshold/value/cover must be numbers", ti, i)
         if f is not None:
-            if not isinstance(f, int) or not (
-                isinstance(lc, int) and isinstance(rc, int)
-            ):
+            if {type(f), type(lc), type(rc)} != {int}:
                 raise ModelParseError("feature/left/right must be integers", ti, i)
-            if not 0 <= lc < n or not 0 <= rc < n or lc == rc:
-                raise ModelParseError("child ids out of range", ti, i)
             if not 0 <= f < n_features:
-                raise ModelInvariantError(
-                    f"split feature {f} outside [0, {n_features})", ti, i
-                )
+                raise ModelInvariantError(f"split feature {f} outside [0, {n_features})", ti, i)
             if not math.isfinite(thr):
                 raise ModelInvariantError(f"threshold {thr} is not finite", ti, i)
-            feature[i] = f
-            threshold[i] = thr
-            left[i] = lc
-            right[i] = rc
+            feature[i], threshold[i], left[i], right[i] = f, thr, lc, rc
         for name, v in [("value", value_i), ("cover", cover_i)]:
             if not math.isfinite(v):
                 raise ModelInvariantError(f"{name} {v} is not finite", ti, i)
         if cover_i < 0:
             raise ModelInvariantError("cover must be nonnegative", ti, i)
-        value[i] = value_i
-        cover[i] = cover_i
-    root, order = _validate_structure(feature, left, right, ti)
-    t = Tree(feature, threshold, left, right, value, cover, root)
-    _validate_covers_and_values(t, ti, order)
-    return t
-
-
-def _validate_structure(feature, left, right, ti: int) -> tuple[int, list[int]]:
-    """Check the node graph is a single rooted tree; return the root id and
-    the nodes in preorder."""
-    n = len(feature)
-    parents = np.zeros(n, dtype=int)
-    for i in range(n):
-        if feature[i] != LEAF:
-            parents[left[i]] += 1
-            parents[right[i]] += 1
-    roots = np.nonzero(parents == 0)[0]
-    if len(roots) != 1:
-        raise ModelInvariantError(f"expected exactly one root, found {len(roots)}", ti)
-    if (parents > 1).any():
-        bad = int(np.nonzero(parents > 1)[0][0])
-        raise ModelInvariantError("node has more than one parent", ti, bad)
-    root = int(roots[0])
-    # with one parent per node and none for the root, the walk meets no node
-    # twice; a cycle apart from the root is left unreached
-    order = []
-    stack = [root]
-    while stack:
-        i = stack.pop()
-        order.append(i)
-        if feature[i] != LEAF:
-            stack.extend((int(left[i]), int(right[i])))
-    if len(order) != n:
-        raise ModelInvariantError("unreachable nodes in tree", ti)
-    return root, order
-
-
-def _validate_covers_and_values(t: Tree, ti: int, order: list[int]) -> None:
-    """Enforce cover additivity, then recompute internal values bottom-up.
-
-    Stored internal values must agree with the cover-weighted descendant mean
-    to 1e-9 relative; the recomputed (exact) values replace them. order is a
-    preorder, so reversed it gives children before parents.
-    """
-    for i in reversed(order):
-        if t.feature[i] == LEAF:
-            continue
-        l, r = int(t.left[i]), int(t.right[i])
-        if not math.isclose(
-            t.cover[i], t.cover[l] + t.cover[r], rel_tol=1e-9, abs_tol=1e-9
-        ):
-            raise ModelInvariantError(
-                f"cover {t.cover[i]} != {t.cover[l]} + {t.cover[r]}", ti, i
-            )
-        if t.cover[i] <= 0:
+        value[i], cover[i] = value_i, cover_i
+    try:
+        order, _ = _preorder(feature, left, right)
+    except TreeShapeError as exc:
+        raise ModelInvariantError(exc.reason, ti, exc.node) from None
+    internal = [i for i in reversed(order) if feature[i] != LEAF]
+    for i in internal:
+        l, r = left[i], right[i]
+        if not math.isclose(cover[i], cover[l] + cover[r], rel_tol=1e-9, abs_tol=1e-9):
+            raise ModelInvariantError(f"cover {cover[i]} != {cover[l]} + {cover[r]}", ti, i)
+        if cover[i] <= 0:
             raise ModelInvariantError("internal node with zero cover", ti, i)
-        recomputed = (t.cover[l] * t.value[l] + t.cover[r] * t.value[r]) / t.cover[i]
-        if not math.isclose(t.value[i], recomputed, rel_tol=1e-9, abs_tol=1e-9):
+    # the recomputed internal values replace the stored ones, which must agree
+    exact = _cover_weighted_values(order, feature, left, right, value, cover)
+    for i in internal:
+        if not math.isclose(value[i], exact[i], rel_tol=1e-9, abs_tol=1e-9):
             raise ModelInvariantError(
-                f"value {t.value[i]} != cover-weighted child mean {recomputed}", ti, i
+                f"value {value[i]} != cover-weighted child mean {exact[i]}", ti, i
             )
-        t.value[i] = recomputed
+    return Tree(feature, threshold, left, right, exact, cover, order[0])
 
 
 def load_model(path) -> TreeEnsemble:
-    """Read a model file, re-validating every node invariant."""
+    """Read a model file, checking every field's JSON type and every node
+    invariant (ModelParseError and ModelInvariantError, naming the tree and
+    node where there is one). version, n_features, id, feature, left and
+    right must be JSON integers (not booleans), the other numbers JSON
+    numbers, and feature_names n_features distinct strings. Internal values
+    are recomputed from the leaves, as training computes them."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except UnicodeDecodeError:
         raise ModelParseError(f"{path}: not UTF-8 text") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too many digits, or too deep
         raise ModelParseError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ModelParseError(f"{path}: top level must be an object")
     try:
-        version = doc["version"]
-        base_score = float(doc["base_score"])
-        n_features = doc["n_features"]
-        feature_names = doc.get("feature_names")
-        trees_doc = doc["trees"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelParseError(f"{path}: missing or bad field: {exc}") from None
-    if version != MODEL_FORMAT_VERSION:
+        version, base_score, n_features, trees_doc = [
+            doc[key] for key in ("version", "base_score", "n_features", "trees")
+        ]
+    except KeyError as exc:
+        raise ModelParseError(f"{path}: missing field {exc}") from None
+    feature_names = doc.get("feature_names")
+    if type(version) is not int or version != MODEL_FORMAT_VERSION:
         raise ModelParseError(f"{path}: unsupported version {version!r}")
+    base_score = _json_number(base_score)
+    if base_score is None:
+        raise ModelParseError(f"{path}: base_score must be a number")
     if not math.isfinite(base_score):
         raise ModelInvariantError(f"{path}: base_score {base_score} is not finite")
-    if not isinstance(n_features, int) or n_features < 1:
+    if type(n_features) is not int or n_features < 1:
         raise ModelParseError(f"{path}: n_features must be a positive integer")
-    if feature_names is not None and len(feature_names) != n_features:
-        raise ModelParseError(f"{path}: feature_names length != n_features")
+    if feature_names is not None and not (
+        isinstance(feature_names, list)
+        and all(isinstance(name, str) for name in feature_names)
+        and len(set(feature_names)) == len(feature_names) == n_features
+    ):
+        raise ModelParseError(f"{path}: feature_names must be n_features distinct strings")
     if not isinstance(trees_doc, list):
         raise ModelParseError(f"{path}: 'trees' must be an array")
     trees = [_parse_tree(td, n_features, ti) for ti, td in enumerate(trees_doc)]
-    return TreeEnsemble(
-        trees=trees,
-        n_features=n_features,
-        base_score=base_score,
-        feature_names=list(feature_names) if feature_names is not None else None,
-    )
+    return TreeEnsemble(trees, n_features, base_score, feature_names)

@@ -271,7 +271,9 @@ def _reference_best_split(Xsub, resid, min_leaf):
 
 
 def reference_grow_tree(X, resid, max_depth, min_leaf, scale) -> Tree:
-    """Greedy depth-limited CART, one stable argsort per feature per node."""
+    """Greedy depth-limited CART, one stable argsort per feature per node;
+    leaves hold scale times their mean residual, internal nodes the
+    cover-weighted mean of their children's values."""
     feature, threshold, left, right, value, cover = [], [], [], [], [], []
 
     def new_node(rows):
@@ -300,6 +302,12 @@ def reference_grow_tree(X, resid, max_depth, min_leaf, scale) -> Tree:
         right[node] = new_node(rows[~go_left])
         stack.append((left[node], rows[go_left], depth + 1))
         stack.append((right[node], rows[~go_left], depth + 1))
+    # an internal node's value is the cover-weighted mean of its children's,
+    # computed children first (every child's id is above its parent's)
+    for i in reversed(range(len(feature))):
+        if feature[i] != LEAF:
+            l, r = left[i], right[i]
+            value[i] = (cover[l] * value[l] + cover[r] * value[r]) / cover[i]
     return Tree(
         feature=np.asarray(feature, dtype=np.int64),
         threshold=np.asarray(threshold, dtype=float),

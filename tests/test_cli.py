@@ -437,6 +437,12 @@ def test_simulate_help_gives_the_paper_grid(capsys):
             "--rho 0.2,0.5,0.8 --reps 10000") in capsys.readouterr().out
 
 
+def test_test_help_states_the_hypothesis(capsys):
+    assert main(["test", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "mean zero on the rows given" in text and "centred by construction" in text
+
+
 def test_analyze_corrdet_zero_variance_exits_three(tmp_path):
     vals = np.column_stack([np.arange(10.0), np.ones(10)])
     ShapMatrix(vals, np.zeros(10), ["a", "b"]).to_csv(tmp_path / "s.csv")

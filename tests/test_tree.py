@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from groupshap import tree
+from groupshap.cli import main
 from groupshap.errors import (
     GroupingError,
     ModelInvariantError,
@@ -30,6 +31,7 @@ from groupshap.tree import (
     Dataset,
     Tree,
     TreeEnsemble,
+    TreeShapeError,
     _grow_tree,
     _loadtxt_numeric_csv,
     _scan_numeric_csv,
@@ -276,25 +278,64 @@ def test_walk_in_row_blocks_matches_a_scalar_per_row_walk(rng, tmp_path, monkeyp
 
 
 def test_tree_split_arrays_are_read_only_copies():
-    # the edge table is built once, so the arrays it comes from must not change
-    feature = np.array([0, LEAF, LEAF])
+    # the edge tables are built once, so the arrays they come from must not
+    # change
+    feature, value = np.array([0, LEAF, LEAF]), np.array([1.5, 1.0, 2.0])
     tree = Tree(feature=feature, threshold=np.array([0.5, math.nan, math.nan]),
                 left=np.array([1, LEAF, LEAF]), right=np.array([2, LEAF, LEAF]),
-                value=np.array([1.5, 1.0, 2.0]), cover=np.array([2.0, 1.0, 1.0]))
-    feature[0] = 5  # the caller's array, not the tree's
-    assert tree.feature[0] == 0
-    for name in ("feature", "threshold", "left", "right"):
+                value=value, cover=np.array([2.0, 1.0, 1.0]))
+    feature[0], value[1] = 5, 9.0  # the caller's arrays, not the tree's
+    assert tree.feature[0] == 0 and tree.value[1] == 1.0
+    for name in ("feature", "threshold", "left", "right", "value", "cover", "edge_feature",
+                 "edge_threshold", "edge_next", "edge_value", "edge_delta"):
         assert not getattr(tree, name).flags.writeable
+    # edge 2 * node + went_left: the value of the node it leads to, and the
+    # change from its own node's value
+    assert tree.edge_value.tolist() == [2.0, 1.0, 1.0, 1.0, 2.0, 2.0]
+    assert tree.edge_delta.tolist() == [0.5, -0.5, 0.0, 0.0, 0.0, 0.0]
     with pytest.raises(AttributeError):
         tree.root = 1
 
 
 def test_tree_with_a_cycle_is_refused_at_construction():
-    # node 1 leads back to the root; the depth count must stop, not grow
+    # node 1 leads back to the root, so no node is parentless
     with pytest.raises(ValueError, match="cycle"):
         Tree(feature=np.array([0, 0, LEAF]), threshold=np.array([0.5, 0.5, math.nan]),
              left=np.array([1, 0, LEAF]), right=np.array([2, 2, LEAF]),
              value=np.zeros(3), cover=np.ones(3))
+
+
+# Node graphs that are not one tree, as (feature, left, right), with the node
+# at fault and what the walk says about it. A split is on feature 0.
+_NOT_A_TREE = {
+    "two roots": (([0, LEAF, LEAF, LEAF], [1, LEAF, LEAF, LEAF], [2, LEAF, LEAF, LEAF]),
+                  3, "only parentless node"),
+    "two parents": (([0, 0, LEAF, LEAF], [1, 2, LEAF, LEAF], [2, 3, LEAF, LEAF]),
+                    2, "more than one parent"),
+    # nodes 3 and 4 are each other's left child, beside the stump
+    "unreachable": (([0, LEAF, LEAF, 0, 0, LEAF, LEAF], [1, LEAF, LEAF, 4, 3, LEAF, LEAF],
+                     [2, LEAF, LEAF, 5, 6, LEAF, LEAF]), 3, "unreachable nodes"),
+    "child out of range": (([0, LEAF, LEAF], [1, LEAF, LEAF], [7, LEAF, LEAF]),
+                           0, "child ids out of range"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NOT_A_TREE))
+def test_tree_that_is_not_one_tree_is_refused_at_construction(case):
+    (feature, left, right), node, reason = _NOT_A_TREE[case]
+    n = len(feature)
+    with pytest.raises(ValueError, match=reason) as err:
+        Tree(feature=feature, threshold=np.full(n, 0.5), left=left, right=right,
+             value=np.zeros(n), cover=np.ones(n))
+    assert isinstance(err.value, TreeShapeError) and err.value.node == node
+
+
+def test_tree_whose_root_has_a_parent_is_refused_at_construction():
+    with pytest.raises(ValueError, match="only parentless node") as err:
+        Tree(feature=[0, LEAF, LEAF], threshold=[0.5, math.nan, math.nan],
+             left=[1, LEAF, LEAF], right=[2, LEAF, LEAF], value=[0.0] * 3, cover=[1.0] * 3,
+             root=1)
+    assert err.value.node == 0
 
 
 def test_predict_is_deterministic_and_shape_checked(rng):
@@ -381,11 +422,15 @@ def test_save_load_round_trip(tmp_path, rng):
         np.testing.assert_array_equal(a.left, b.left)
         np.testing.assert_array_equal(a.right, b.right)
         np.testing.assert_array_equal(a.cover, b.cover)
-        # internal values are recomputed bottom-up on load
-        np.testing.assert_allclose(a.value, b.value, rtol=1e-12, atol=1e-15)
+        # internal values are recomputed bottom-up on load, as training
+        # computed them
+        assert a.value.tobytes() == b.value.tobytes()
         np.testing.assert_allclose(
             a.threshold, b.threshold, rtol=0, atol=0, equal_nan=True
         )
+    # a trained model is a fixed point of save and load
+    save_model(loaded, tmp_path / "again.model")
+    assert (tmp_path / "again.model").read_bytes() == path.read_bytes()
 
 
 def test_round_trip_predictions_bit_identical(tmp_path, rng):
@@ -487,6 +532,71 @@ def test_load_rejects_a_cycle_apart_from_the_root(tmp_path):
     path = tmp_path / "bad.model"
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelInvariantError, match="unreachable nodes"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("case", sorted(_NOT_A_TREE))
+def test_load_names_the_node_of_a_graph_that_is_not_one_tree(tmp_path, case):
+    (feature, left, right), node, reason = _NOT_A_TREE[case]
+    doc = _stump_doc()
+    doc["trees"][0]["nodes"] = [
+        {"id": i, "feature": None if f == LEAF else f, "threshold": None if f == LEAF else 0.5,
+         "left": None if f == LEAF else l, "right": None if f == LEAF else r,
+         "value": 1.0, "cover": 1.0}
+        for i, (f, l, r) in enumerate(zip(feature, left, right))
+    ]
+    path = tmp_path / "bad.model"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelInvariantError, match=reason) as err:
+        load_model(path)
+    assert (err.value.tree_index, err.value.node_index) == (0, node)
+
+
+# Model fields of the wrong JSON type that int() or float() would take, each
+# as (node or None for the top level, key, value) edits of the stump document
+_WRONG_TYPES = {
+    "id true": [(1, "id", True)],
+    "feature true": [(0, "feature", True)],
+    "left true": [(0, "left", True)],
+    "threshold true": [(0, "threshold", True)],
+    "threshold string": [(0, "threshold", "0.25")],
+    "value true": [(1, "value", True)],
+    "cover string": [(1, "cover", "60.0")],
+    "version true": [(None, "version", True)],
+    "version float": [(None, "version", 1.0)],
+    "n_features true": [(None, "n_features", True), (None, "feature_names", None),
+                        (0, "feature", 0)],
+    "base_score string": [(None, "base_score", "0.5")],
+    "duplicate feature_names": [(None, "feature_names", ["u", "u"])],
+    "feature_names not strings": [(None, "feature_names", [0, 1])],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WRONG_TYPES))
+def test_model_fields_take_json_types_exactly(tmp_path, capsys, case):
+    doc = _stump_doc()
+    for node, key, bad in _WRONG_TYPES[case]:
+        (doc if node is None else doc["trees"][0]["nodes"][node])[key] = bad
+    path = tmp_path / "bad.model"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelParseError) as err:
+        load_model(path)
+    node = _WRONG_TYPES[case][0][0]
+    if node is not None:
+        assert (err.value.tree_index, err.value.node_index) == (0, node)
+    # the model is read before the other files, which need not exist
+    assert main(["explain", "--model", str(path), "--data", str(tmp_path / "d.csv"),
+                 "--groups", str(tmp_path / "g.txt"), "--out", str(tmp_path / "s.csv")]) == 2
+    stderr = capsys.readouterr().err
+    assert str(err.value) in stderr and "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("text", ["[" * 200_000, '{"version": ' + "1" * 5000 + "}"])
+def test_load_rejects_json_that_python_cannot_read(tmp_path, text):
+    # nesting deeper than the recursion limit, an integer over the digit limit
+    path = tmp_path / "bad.model"
+    path.write_text(text)
+    with pytest.raises(ModelParseError, match="invalid JSON"):
         load_model(path)
 
 
