@@ -1,0 +1,8 @@
+"""``python -m groupshap``: the command line of ``groupshap.cli``."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

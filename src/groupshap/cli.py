@@ -210,13 +210,15 @@ def _cmd_explain(args) -> int:
 _STAR_LEVELS = ((0.001, "***"), (0.01, "**"), (0.05, "*"))
 
 
-def _stars(p: float | None, alpha: float) -> str:
-    if p is None:
+def _stars(rep: TestReport) -> str:
+    """The significant column: empty unless the test rejects at its alpha,
+    else graded by p, with ``.`` for p above 0.05."""
+    if not rep.reject:
         return ""
     for level, mark in _STAR_LEVELS:
-        if p <= level:
+        if rep.p_value <= level:
             return mark
-    return "." if p <= alpha else ""
+    return "."
 
 
 def _report_df(rep: TestReport) -> str:
@@ -238,7 +240,7 @@ def _format_reports(reports: list[TestReport], fmt: str) -> str:
                 "statistic": "NaN" if rep.statistic is None else repr(rep.statistic),
                 "df": _report_df(rep),
                 "p_value": "NaN" if rep.p_value is None else repr(rep.p_value),
-                "significant": _stars(rep.p_value, rep.alpha),
+                "significant": _stars(rep),
                 "degenerate": rep.degenerate or "",
             }
         )
@@ -423,7 +425,7 @@ def pipeline_demo(
         name = gshap.group_names[j]
         rep = by_group[name]
         p = rep.p_value
-        stars = _stars(p, alpha)
+        stars = _stars(rep)
         p_str = "NaN" if p is None else f"{p:.4g}"
         print(f"{rank:<5}{name:<10}{mean_abs_group[j]:>12.5f}  {p_str:>10}  {stars}", file=stream)
         ranking.append({"group": name, "mean_abs_shap": float(mean_abs_group[j]), "p_value": p})

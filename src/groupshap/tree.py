@@ -4,11 +4,9 @@ Trees are stored as parallel node arrays. Leaves carry ``feature == -1``;
 internal nodes split as ``x[feature] <= threshold goes left``. Every node
 carries ``cover`` (training rows that reached it) and ``value`` (leaf output
 for leaves, cover-weighted mean of the children for internal nodes), which is
-what the attribution code walks.
-
-A ``Tree`` is checked by one preorder walk and frozen at construction, with
-its per-edge tables built then. Training and loading compute internal values
-by one bottom-up pass, so a trained model is a fixed point of save and load.
+what the attribution code walks. ``Tree`` checks every node, however built,
+and stores the internal values it computes (so a trained model is a fixed
+point of save and load); ``TreeEnsemble`` checks split features' range.
 
 Every row-wise traversal is ``Tree.descend``, over the tree's edge table: an
 edge ``2 * node + went_left`` indexes the child it leads to, and a leaf's two
@@ -57,11 +55,12 @@ class DataError(GroupShapError):
 
 
 class TreeShapeError(ValueError):
-    """Node arrays that are not one tree; ``node`` is the node at fault."""
+    """Node arrays that are not a valid tree, at ``node`` (of ``tree``) if known."""
 
-    def __init__(self, reason: str, node: int | None = None):
-        super().__init__(reason if node is None else f"{reason} (node {node})")
-        self.reason, self.node = reason, node
+    def __init__(self, reason: str, node: int | None = None, tree: int | None = None):
+        where = ", ".join(f"{k} {v}" for k, v in (("tree", tree), ("node", node)) if v is not None)
+        super().__init__(f"{reason} ({where})" if where else reason)
+        self.reason, self.node, self.tree = reason, node, tree
 
 
 def _preorder(feature, left, right, root=None) -> tuple[list[int], int]:
@@ -99,15 +98,33 @@ def _preorder(feature, left, right, root=None) -> tuple[list[int], int]:
     return order, depth
 
 
-def _cover_weighted_values(order, feature, left, right, value, cover) -> list[float]:
-    """``value`` with each internal node's replaced, children first, by
-    ``(cover[l] * value[l] + cover[r] * value[r]) / cover[node]``, the
-    cover-weighted mean of its children's. ``order`` lists parents first."""
+def _cover_weighted_values(order, feature, threshold, left, right, value, cover) -> list[float]:
+    """``value`` with each internal node's replaced, children first, by its
+    children's cover-weighted mean; ``order`` lists parents first. Raises
+    TreeShapeError at the first node that fails a check ``Tree`` lists."""
     value = list(value)
     for i in reversed(order):
-        if feature[i] != LEAF:
-            l, r = left[i], right[i]
-            value[i] = (cover[l] * value[l] + cover[r] * value[r]) / cover[i]
+        f, c, l, r = feature[i], cover[i], left[i], right[i]
+        for name, x in (("value", value[i]), ("cover", c)):
+            if not math.isfinite(x):
+                raise TreeShapeError(f"{name} {x} is not finite", i)
+        if c < 0:
+            raise TreeShapeError("cover must be nonnegative", i)
+        if f == LEAF:
+            continue
+        if f < 0:
+            raise TreeShapeError(f"split feature {f} is negative", i)
+        if not math.isfinite(threshold[i]):
+            raise TreeShapeError(f"threshold {threshold[i]} is not finite", i)
+        if not math.isclose(c, cover[l] + cover[r], rel_tol=1e-9, abs_tol=1e-9):
+            raise TreeShapeError(f"cover {c} != {cover[l]} + {cover[r]}", i)
+        if c <= 0:
+            raise TreeShapeError("internal node with zero cover", i)
+        # rounding scales with the terms, not with a mean they cancel to
+        exact = (cover[l] * value[l] + cover[r] * value[r]) / c
+        if abs(value[i] - exact) > 1e-9 * max(1.0, abs(value[i]), abs(value[l]), abs(value[r])):
+            raise TreeShapeError(f"value {value[i]} != cover-weighted child mean {exact}", i)
+        value[i] = exact
     return value
 
 
@@ -115,9 +132,12 @@ def _cover_weighted_values(order, feature, left, right, value, cover) -> list[fl
 class Tree:
     """One binary regression tree as parallel node arrays, checked and frozen.
 
-    Construction raises ``TreeShapeError`` (a ValueError) unless the nodes
-    form one tree rooted at ``root``. The six node arrays are stored as
-    read-only copies, so the tables built from them can never go stale.
+    Construction raises ``TreeShapeError`` (a ValueError) naming the node
+    unless the nodes form one tree from ``root`` (if None, the parentless
+    node), values and covers are finite, covers >= 0, splits on features >= 0
+    at finite thresholds, and internal covers > 0 and values their children's
+    sum and cover-weighted mean, to 1e-9; it stores those means. The six node
+    arrays are read-only copies, so tables built from them cannot go stale.
 
     Edge ``2 * node + went_left`` leaves ``node`` to the left (went_left =
     1) or to the right (0). Five read-only tables are indexed by edge: the
@@ -134,7 +154,7 @@ class Tree:
     right: np.ndarray
     value: np.ndarray  # float64
     cover: np.ndarray  # float64
-    root: int = 0
+    root: int | None = 0
     depth: int = field(init=False)  # edges on the longest root-to-leaf path
     edge_feature: np.ndarray = field(init=False, repr=False, compare=False)
     edge_threshold: np.ndarray = field(init=False, repr=False, compare=False)
@@ -151,8 +171,9 @@ class Tree:
             value=np.array(self.value, dtype=float),
             cover=np.array(self.cover, dtype=float),
         )
-        lists = [a.tolist() for a in (self.feature, self.left, self.right)]
-        _, depth = _preorder(*lists, self.root)
+        lists = [getattr(self, key).tolist() for key in _NODE_KEYS[1:]]
+        order, depth = _preorder(lists[0], *lists[2:4], self.root)
+        self._freeze(value=np.array(_cover_weighted_values(order, *lists)))
         leaf = self.feature == LEAF
         node = np.arange(self.n_nodes)
         right, left = np.where(leaf, node, self.right), np.where(leaf, node, self.left)
@@ -165,6 +186,7 @@ class Tree:
             edge_value=edge_value,
             edge_delta=edge_value - np.repeat(self.value, 2),
         )
+        object.__setattr__(self, "root", order[0])
         object.__setattr__(self, "depth", depth)
 
     def _freeze(self, **arrays):
@@ -206,12 +228,19 @@ class Tree:
 
 @dataclass
 class TreeEnsemble:
-    """Additive collection of regression trees plus a constant offset."""
+    """Additive regression trees plus an offset; a split >= n_features raises TreeShapeError."""
 
     trees: list[Tree]
     n_features: int
     base_score: float
     feature_names: list[str] | None = None
+
+    def __post_init__(self):
+        for ti, t in enumerate(self.trees):
+            wide = np.flatnonzero(t.feature >= self.n_features)
+            if len(wide):
+                i, n = int(wide[0]), self.n_features
+                raise TreeShapeError(f"split feature {t.feature[i]} outside [0, {n})", i, ti)
 
     def predict(self, x) -> float:
         """Prediction for a single feature vector: base_score + leaf sum."""
@@ -469,8 +498,8 @@ def _grow_tree(X, resid, order, xs, max_depth, min_leaf, scale) -> Tree:
     increasing row order, so the filtered order equals a stable sort of the
     node's own values and the tree matches a per-node sort bit for bit.
 
-    A leaf's value is ``scale`` times its rows' mean residual; internal
-    values are those ``load_model`` computes (``_cover_weighted_values``).
+    A node's value is ``scale`` times its rows' mean residual; ``Tree``
+    stores an internal node's as its children's cover-weighted mean.
     """
     feature, threshold, left, right, value, cover = [], [], [], [], [], []
 
@@ -509,9 +538,6 @@ def _grow_tree(X, resid, order, xs, max_depth, min_leaf, scale) -> Tree:
             to_left, to_right = np.flatnonzero(to_left), np.flatnonzero(~to_left)
             stack.append((l_id, rows_left, part(order, to_left), part(xs, to_left), depth + 1))
             stack.append((r_id, rows_right, part(order, to_right), part(xs, to_right), depth + 1))
-
-    # ids are given in creation order, each node's after its parent's
-    value = _cover_weighted_values(range(len(feature)), feature, left, right, value, cover)
     return Tree(feature, threshold, left, right, value, cover)
 
 
@@ -609,18 +635,17 @@ def _json_number(v) -> float | None:
         return math.copysign(math.inf, v)
 
 
-def _parse_tree(tree_doc, n_features: int, ti: int) -> Tree:
-    """One tree of a model file: its fields' JSON types, then its structure,
-    covers and values are checked before the Tree is built."""
+def _parse_tree(tree_doc, ti: int) -> Tree:
+    """One tree of a model file: its fields' JSON types are checked here, and
+    every node invariant by ``Tree``."""
     if not isinstance(tree_doc, dict) or "nodes" not in tree_doc:
         raise ModelParseError("tree entry must be an object with 'nodes'", ti)
     nodes = tree_doc["nodes"]
     if not isinstance(nodes, list) or not nodes:
         raise ModelParseError("'nodes' must be a non-empty array", ti)
     n = len(nodes)
-    feature, threshold = [LEAF] * n, [math.nan] * n
-    left, right = [LEAF] * n, [LEAF] * n
-    value, cover = [0.0] * n, [0.0] * n
+    feature, left, right = [LEAF] * n, [LEAF] * n, [LEAF] * n
+    threshold, value, cover = [math.nan] * n, [0.0] * n, [0.0] * n
     seen = set()
     for pos, nd in enumerate(nodes):
         if not isinstance(nd, dict):
@@ -636,51 +661,28 @@ def _parse_tree(tree_doc, n_features: int, ti: int) -> Tree:
             raise ModelParseError(
                 "feature/threshold/left/right must be all present or all null", ti, i
             )
-        thr, value_i, cover_i = (_json_number(v) for v in (thr, value_i, cover_i))
-        if value_i is None or cover_i is None or thr is None and f is not None:
+        thr, value[i], cover[i] = (_json_number(v) for v in (thr, value_i, cover_i))
+        if value[i] is None or cover[i] is None or thr is None and f is not None:
             raise ModelParseError("bad node fields: threshold/value/cover must be numbers", ti, i)
         if f is not None:
-            if {type(f), type(lc), type(rc)} != {int}:
-                raise ModelParseError("feature/left/right must be integers", ti, i)
-            if not 0 <= f < n_features:
-                raise ModelInvariantError(f"split feature {f} outside [0, {n_features})", ti, i)
-            if not math.isfinite(thr):
-                raise ModelInvariantError(f"threshold {thr} is not finite", ti, i)
+            if {type(f), type(lc), type(rc)} != {int} or max(map(abs, (f, lc, rc))) >= 2**63:
+                raise ModelParseError("feature/left/right must be 64-bit integers", ti, i)
+            if f == LEAF:  # Tree would take a split on the leaf marker for a leaf
+                raise ModelInvariantError("split feature -1 is negative", ti, i)
             feature[i], threshold[i], left[i], right[i] = f, thr, lc, rc
-        for name, v in [("value", value_i), ("cover", cover_i)]:
-            if not math.isfinite(v):
-                raise ModelInvariantError(f"{name} {v} is not finite", ti, i)
-        if cover_i < 0:
-            raise ModelInvariantError("cover must be nonnegative", ti, i)
-        value[i], cover[i] = value_i, cover_i
     try:
-        order, _ = _preorder(feature, left, right)
+        return Tree(feature, threshold, left, right, value, cover, root=None)
     except TreeShapeError as exc:
         raise ModelInvariantError(exc.reason, ti, exc.node) from None
-    internal = [i for i in reversed(order) if feature[i] != LEAF]
-    for i in internal:
-        l, r = left[i], right[i]
-        if not math.isclose(cover[i], cover[l] + cover[r], rel_tol=1e-9, abs_tol=1e-9):
-            raise ModelInvariantError(f"cover {cover[i]} != {cover[l]} + {cover[r]}", ti, i)
-        if cover[i] <= 0:
-            raise ModelInvariantError("internal node with zero cover", ti, i)
-    # the recomputed internal values replace the stored ones, which must agree
-    exact = _cover_weighted_values(order, feature, left, right, value, cover)
-    for i in internal:
-        if not math.isclose(value[i], exact[i], rel_tol=1e-9, abs_tol=1e-9):
-            raise ModelInvariantError(
-                f"value {value[i]} != cover-weighted child mean {exact[i]}", ti, i
-            )
-    return Tree(feature, threshold, left, right, exact, cover, order[0])
 
 
 def load_model(path) -> TreeEnsemble:
     """Read a model file, checking every field's JSON type and every node
     invariant (ModelParseError and ModelInvariantError, naming the tree and
     node where there is one). version, n_features, id, feature, left and
-    right must be JSON integers (not booleans), the other numbers JSON
-    numbers, and feature_names n_features distinct strings. Internal values
-    are recomputed from the leaves, as training computes them."""
+    right must be JSON integers (not booleans; 64-bit ones for the last
+    three), the other numbers JSON numbers, and feature_names n_features
+    distinct strings; the node invariants are ``Tree``'s and ``TreeEnsemble``'s."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -714,5 +716,8 @@ def load_model(path) -> TreeEnsemble:
         raise ModelParseError(f"{path}: feature_names must be n_features distinct strings")
     if not isinstance(trees_doc, list):
         raise ModelParseError(f"{path}: 'trees' must be an array")
-    trees = [_parse_tree(td, n_features, ti) for ti, td in enumerate(trees_doc)]
-    return TreeEnsemble(trees, n_features, base_score, feature_names)
+    trees = [_parse_tree(td, ti) for ti, td in enumerate(trees_doc)]
+    try:
+        return TreeEnsemble(trees, n_features, base_score, feature_names)
+    except TreeShapeError as exc:
+        raise ModelInvariantError(exc.reason, exc.tree, exc.node) from None

@@ -141,6 +141,24 @@ def test_csv_report_quotes_wald_df(tmp_path):
     assert all(r["degenerate"] == "" for r in wald)
 
 
+def test_significant_column_marks_the_rows_that_reject_at_alpha(tmp_path):
+    # p-values from 1e-84 to 0.9, among them 1.5e-4 and 2.9e-4
+    rng = np.random.default_rng(3)
+    values = rng.normal(size=(40, 5)) + np.array([0.0, 0.3, 0.4, 0.55, 0.9])
+    path = tmp_path / "shap.csv"
+    ShapMatrix(values, np.zeros(40), list("abcde")).to_csv(path)
+    out = tmp_path / "report.csv"
+    for alpha in (0.0001, 0.01, 0.05, 0.5):
+        assert main(["test", "--shap", str(path), "--tests", "wald,cq,gs", "--alpha",
+                     str(alpha), "--format", "csv", "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        marks = [r["significant"] for r in rows]
+        grades = [("***" if p <= 0.001 else "**" if p <= 0.01 else "*" if p <= 0.05 else ".")
+                  if p <= alpha else "" for p in (float(r["p_value"]) for r in rows)]
+        assert marks == grades, alpha
+
+
 def test_shap_csv_with_duplicate_group_names_exits_two(tmp_path, capsys):
     path = _random_shap_csv(tmp_path, ["a", "a"])
     assert main(["test", "--shap", str(path)]) == 2
@@ -598,12 +616,13 @@ def _child_env():
 
 
 def test_console_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "groupshap.cli", "--version"],
-        capture_output=True, text=True, env=_child_env(),
-    )
-    assert proc.returncode == 0
-    assert "groupshap" in proc.stdout
+    for module in ("groupshap.cli", "groupshap"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "--version"],
+            capture_output=True, text=True, env=_child_env(),
+        )
+        assert proc.returncode == 0, module
+        assert "groupshap" in proc.stdout
 
 
 def test_cli_import_does_not_load_scipy_stats():

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -338,6 +339,93 @@ def test_tree_whose_root_has_a_parent_is_refused_at_construction():
     assert err.value.node == 0
 
 
+# Stumps that are one tree but not a valid one, each as edits (field, node,
+# value) of a stump on feature 0 with covers 3 = 1 + 2 and values 0.5 =
+# (1 * -0.5 + 2 * 1.0) / 3, with the node at fault and the loader's reason
+_BAD_NODES = {
+    "negative split feature": ([("feature", 0, -2)], 0, "split feature -2 is negative"),
+    "nan threshold": ([("threshold", 0, math.nan)], 0, "threshold nan is not finite"),
+    "infinite value": ([("value", 2, math.inf)], 2, "value inf is not finite"),
+    "nan cover": ([("cover", 1, math.nan)], 1, "cover nan is not finite"),
+    "negative cover": ([("cover", 1, -1.0), ("cover", 2, 4.0)], 1, "cover must be nonnegative"),
+    "cover not the children's sum": ([("cover", 0, 5.0)], 0, "cover 5.0 != 1.0 + 2.0"),
+    "internal zero cover": ([("cover", 0, 0.0), ("cover", 1, 0.0), ("cover", 2, 0.0)], 0,
+                            "internal node with zero cover"),
+    "value not the children's mean": ([("value", 0, 0.75)], 0,
+                                      "value 0.75 != cover-weighted child mean 0.5"),
+}
+
+
+def _stump_fields(edits=()):
+    fields = dict(feature=[0, LEAF, LEAF], threshold=[0.5, math.nan, math.nan],
+                  left=[1, LEAF, LEAF], right=[2, LEAF, LEAF], value=[0.5, -0.5, 1.0],
+                  cover=[3.0, 1.0, 2.0])
+    for key, node, bad in edits:
+        fields[key][node] = bad
+    return fields
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_NODES))
+def test_tree_with_a_bad_node_is_refused_at_construction(tmp_path, case):
+    edits, node, reason = _BAD_NODES[case]
+    with pytest.raises(TreeShapeError, match=re.escape(f"{reason} (node {node})")) as err:
+        Tree(**_stump_fields(edits))
+    assert (err.value.reason, err.value.node) == (reason, node)
+    # a model file holding the same tree is refused for the same reason
+    doc = {"version": 1, "base_score": 0.0, "n_features": 1,
+           "trees": [{"nodes": tree._tree_to_nodes(Tree(**_stump_fields()))}]}
+    for key, i, bad in edits:
+        doc["trees"][0]["nodes"][i][key] = bad
+    path = tmp_path / "bad.model"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelInvariantError, match=re.escape(reason)) as err:
+        load_model(path)
+    assert (err.value.tree_index, err.value.node_index) == (0, node)
+
+
+def test_load_rejects_a_split_on_the_leaf_marker(tmp_path):
+    # in code feature -1 marks a leaf; a model file marks one with nulls
+    doc = _stump_doc()
+    doc["trees"][0]["nodes"][1].update(feature=-1, threshold=0.5, left=-1, right=-1)
+    path = tmp_path / "bad.model"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelInvariantError, match="split feature -1 is negative") as err:
+        load_model(path)
+    assert (err.value.tree_index, err.value.node_index) == (0, 1)
+
+
+def test_internal_values_within_the_tolerance_are_stored_as_the_exact_mean():
+    fields = _stump_fields()
+    exact = (1.0 * 0.1 + 2.0 * 0.7) / 3.0
+    fields["value"] = [exact + 4e-10, 0.1, 0.7]
+    t = Tree(**fields)
+    assert t.value[0] == exact and t.edge_delta[:2].tolist() == [0.7 - exact, 0.1 - exact]
+    # the tolerance scales with the children's values: a root whose
+    # residuals cancel is rounding noise, off by more than 1e-9 at 1e10
+    fields["value"] = [3e-7, 2e10, -1e10]
+    assert Tree(**fields).value[0] == 0.0
+
+
+@pytest.mark.parametrize("width", [3, 2])
+def test_ensemble_refuses_a_split_outside_its_width(tmp_path, width):
+    # past the width, the walk below the root reads another row's cells or
+    # indexes past the end of X
+    far = 5 if width == 3 else 2
+    trees = [leaf_tree(1.0), build_tree((0, 0.5, (1.0, 1.0), (far, 0.5, (2.0, 1.0), (3.0, 1.0))))]
+    reason = f"split feature {far} outside [0, {width})"
+    with pytest.raises(TreeShapeError, match=re.escape(f"{reason} (tree 1, node 2)")) as err:
+        TreeEnsemble(trees, width, 0.0)
+    assert (err.value.reason, err.value.tree, err.value.node) == (reason, 1, 2)
+    path = tmp_path / "wide.model"
+    save_model(TreeEnsemble(trees, far + 1, 0.0), path)
+    doc = json.loads(path.read_text())
+    doc["n_features"] = width
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelInvariantError, match=re.escape(reason)) as err:
+        load_model(path)
+    assert (err.value.tree_index, err.value.node_index) == (1, 2)
+
+
 def test_predict_is_deterministic_and_shape_checked(rng):
     model = random_ensemble(rng, 4, 5, 3)
     x = rng.uniform(size=4)
@@ -558,6 +646,8 @@ _WRONG_TYPES = {
     "id true": [(1, "id", True)],
     "feature true": [(0, "feature", True)],
     "left true": [(0, "left", True)],
+    "feature beyond 64 bits": [(0, "feature", 2**70)],
+    "right beyond 64 bits": [(0, "right", -2**70)],
     "threshold true": [(0, "threshold", True)],
     "threshold string": [(0, "threshold", "0.25")],
     "value true": [(1, "value", True)],
@@ -646,8 +736,11 @@ def test_load_rejects_non_finite_base_score(tmp_path, bad):
 def test_trained_models_satisfy_node_invariants(rng):
     X = rng.uniform(size=(150, 5))
     y = np.sin(3 * X[:, 0]) + X[:, 1] ** 2 + rng.normal(0, 0.1, 150)
-    model = train_gbm(Dataset(X=X, y=y, columns=list("abcde")), n_trees=25, max_depth=4)
-    _check_node_invariants(model)
+    # at 1e10 the first root's mean residual is rounding noise of about 1e-7
+    for scale in (1.0, 1e10):
+        model = train_gbm(Dataset(X=X, y=scale * y, columns=list("abcde")), n_trees=25,
+                          max_depth=4)
+        _check_node_invariants(model)
 
 
 def test_leaf_only_tree_round_trip(tmp_path):
