@@ -486,7 +486,10 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--target", default=None, help="target column to drop, if present")
     p.add_argument("--groups", required=True, help="grouping file: 'name: feat, feat'")
-    p.add_argument("--method", choices=("tree", "exact"), default="tree")
+    p.add_argument(
+        "--method", choices=("tree", "exact"), default="tree",
+        help="exact: Shapley value of the group game, any depth; tree: path approximation",
+    )
     p.add_argument("--out", required=True, help="attribution CSV to write")
     p.set_defaults(func=_cmd_explain)
 

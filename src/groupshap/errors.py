@@ -41,10 +41,6 @@ class GroupingError(GroupShapError):
     """A feature grouping is not a partition of the feature set."""
 
 
-class CoalitionBudgetExceeded(GroupShapError):
-    """Exact enumeration met a tree that splits on too many groups."""
-
-
 class SampleTooSmall(GroupShapError):
     """Too few observations for the requested statistic."""
 

@@ -2,29 +2,21 @@
 
 Two routes with different definitions. The exact route is the Shapley value
 of the game whose players are the feature groups and whose value function is
-path-dependent cover-weighted marginalization. The ensemble's game is the
-sum of its trees' games and Shapley values are linear, so it is solved one
-tree at a time over the groups that tree splits on. The path route walks each
-observation's decision path and credits every split's change in node value to
-the group of the split feature (a Saabas-style attribution); it equals the
-exact value only on stumps.
-
-The value function and the exact route take one feature vector or an S x F
-matrix. On a matrix every tree node is evaluated for all rows at once; each
-row goes through the same floating-point operations either way, so its
-attributions have the same bits whether it is passed alone or inside a
-matrix.
+path-dependent cover-weighted marginalization (``value_function``), solved in
+closed form over each leaf's path. The path route walks each observation's
+decision path and credits every split's change in node value to the group of
+the split feature (a Saabas-style attribution); it equals the exact value
+only on stumps. Both take one feature vector or an S x F matrix.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoalitionBudgetExceeded, GroupingError, ShapeError
+from .errors import GroupingError, ShapeError
 from .tree import (
     LEAF,
     Tree,
@@ -34,9 +26,6 @@ from .tree import (
     read_numeric_csv,
     row_blocks,
 )
-
-# most groups a single tree may split on for exact enumeration
-EXACT_GROUP_LIMIT = 20
 
 
 @dataclass
@@ -168,7 +157,7 @@ def read_shap_csv(path) -> ShapMatrix:
 
 
 # --------------------------------------------------------------------------
-# value function and exact enumeration
+# value function and exact group Shapley
 
 
 def _marginal_tree_values(t: Tree, X: np.ndarray, active: np.ndarray, i: int) -> np.ndarray:
@@ -209,44 +198,70 @@ def value_function(model: TreeEnsemble, x, active) -> float | np.ndarray:
     return float(total[0]) if one else total
 
 
+def _leaf_paths(t: Tree, f2g: list[int], i: int, groups: dict):
+    """Yield ``(value, [(group, b, splits), ...])`` for each leaf under node i:
+    a group's ``(feature, threshold, went_left)`` splits on the path and b, their
+    product of cover(child) / cover(node); ``groups`` holds those above i."""
+    f = int(t.feature[i])
+    if f == LEAF:
+        yield float(t.value[i]), [(g, b, splits) for g, (b, splits) in groups.items()]
+        return
+    b, splits = groups.get(f2g[f], (1.0, ()))
+    for child, went_left in ((int(t.left[i]), True), (int(t.right[i]), False)):
+        ratio = float(t.cover[child] / t.cover[i])  # an internal cover is positive
+        split = (f, float(t.threshold[i]), went_left)
+        yield from _leaf_paths(t, f2g, child, {**groups, f2g[f]: (b * ratio, splits + (split,))})
+
+
 def exact_group_shapley(model: TreeEnsemble, x, grouping: FeatureGrouping) -> np.ndarray:
-    """Exact Shapley values of the group game, one tree at a time.
+    """Exact Shapley values of ``value_function``'s group game, in closed form.
 
-    A tree's players are the k groups it splits on; the other groups are null
-    players of its game and get 0 from it. Each of its 2^k coalitions C is
-    valued once, and w(|C| - 1) v(C) is added to every member and w(|C|) v(C)
-    subtracted from every non-member, with w(c) = c! (k - c - 1)! / k!. No
-    tree may split on more than EXACT_GROUP_LIMIT groups.
+    Each leaf l adds v_l times a product over the groups on its path: a_g(x),
+    1 if x takes all of g's splits there and else 0, for g in the coalition,
+    and b_g, the product of their cover ratios, for g out. As in Linear
+    TreeSHAP with groups as players (Yu et al. 2022, arXiv:2209.08192),
 
-    ``x`` is one feature vector (returns the K values) or an S x F matrix
-    (returns S x K). A row's values have the same bits whether it is passed
-    alone or inside a matrix.
+        phi_j(x) = sum_l v_l (a_j - b_j) int_0^1 prod_{i != j} (q a_i + (1 - q) b_i) dq,
+
+    and the integrand has degree below D, the most groups on one path, so
+    Gauss-Legendre with D // 2 + 1 nodes gives it exactly. Groups on no path
+    get 0.0. ``x`` is one feature vector (returns the K values) or an S x F
+    matrix (returns S x K). Every step is elementwise and one ``np.bincount``
+    sums each row's terms in a fixed order: a row's bits are those it has alone.
     """
     if grouping.n_features != model.n_features:
         raise ShapeError("grouping does not match the model's feature count")
     X, one = feature_matrix(x, model.n_features)
-    f2g = grouping.feature_to_group()
-    players = [np.unique(f2g[t.feature[t.feature != LEAF]]) for t in model.trees]
-    for i, p in enumerate(players):
-        if len(p) > EXACT_GROUP_LIMIT:
-            raise CoalitionBudgetExceeded(
-                f"tree {i} splits on {len(p)} groups, over the exact enumeration "
-                f"limit of {EXACT_GROUP_LIMIT} per tree; use tree_group_shap instead"
-            )
-    group_feats = [idx for _, idx in grouping.groups]
-    phi = np.zeros((X.shape[0], grouping.n_groups))
-    for t, p in zip(model.trees, players):
-        k = len(p)
-        game = TreeEnsemble([t], model.n_features, 0.0)
-        w = [1 / (k * math.comb(k - 1, c)) for c in range(k)]  # c! (k-c-1)! / k!
-        phi_t = np.zeros((X.shape[0], k))
-        for mask in range(1 << k):
-            member = [mask >> j & 1 for j in range(k)]
-            c = sum(member)
-            feats = [f for j in range(k) if member[j] for f in group_feats[p[j]]]
-            coef = np.array([w[c - 1] if m else -w[c] for m in member])
-            phi_t += value_function(game, X, feats)[:, None] * coef
-        phi[:, p] += phi_t
+    K = grouping.n_groups
+    f2g = grouping.feature_to_group().tolist()
+    leaves = [leaf for t in model.trees for leaf in _leaf_paths(t, f2g, t.root, {})]
+    L, D = len(leaves), max((len(groups) for _, groups in leaves), default=0)
+    # cell d * L + l: leaf l's d-th group, else a factor of 1 whose zero term goes to group K
+    pad = (K, 1.0, [(0, np.inf, True)])
+    cells = [groups[d] if d < len(groups) else pad for d in range(D) for _, groups in leaves]
+    group = np.array([g for g, _, _ in cells], dtype=np.int64)
+    b = np.array([b for _, b, _ in cells])
+    v = np.tile([value for value, _ in leaves], D)
+    starts = np.cumsum([0] + [len(on_path) for _, _, on_path in cells], dtype=np.int64)[:-1]
+    split_dtype = [("feature", np.int64), ("threshold", float), ("went_left", bool)]
+    splits = np.array([s for _, _, on_path in cells for s in on_path], dtype=split_dtype)
+    nodes, weights = np.polynomial.legendre.leggauss(D // 2 + 1)
+    q, w = (nodes[:, None] + 1) / 2, weights / 2
+    phi = np.zeros((X.shape[0], K))
+    for rows in row_blocks(X.shape[0], w.size * group.size):
+        n = rows.stop - rows.start
+        went = X[rows][:, splits["feature"]] <= splits["threshold"]
+        a = np.logical_and.reduceat(went == splits["went_left"], starts, axis=1)
+        factor = (q * a[:, None] + (1 - q) * b).reshape(n, w.size, D, L)
+        # each cell times every other cell of its leaf: no division by a zero factor
+        loo = np.ones_like(factor)
+        for d in range(1, D):
+            loo[:, :, d:] *= factor[:, :, d - 1, None]
+            loo[:, :, :-d] *= factor[:, :, -d, None]
+        integral = sum(w[k] * loo[:, k] for k in range(w.size))
+        terms = v * (a - b) * integral.reshape(n, -1)
+        cell = (np.arange(n)[:, None] * (K + 1) + group).ravel()
+        phi[rows] = np.bincount(cell, terms.ravel(), n * (K + 1)).reshape(n, K + 1)[:, :K]
     return phi[0] if one else phi
 
 

@@ -6,7 +6,8 @@ carries ``cover`` (training rows that reached it) and ``value`` (leaf output
 for leaves, cover-weighted mean of the children for internal nodes), which is
 what the attribution code walks. ``Tree`` checks every node, however built,
 and stores the internal values it computes (so a trained model is a fixed
-point of save and load); ``TreeEnsemble`` checks split features' range.
+point of save and load); ``TreeEnsemble``, frozen with a tuple of trees,
+checks split features' range.
 
 Every row-wise traversal is ``Tree.descend``, over the tree's edge table: an
 edge ``2 * node + went_left`` indexes the child it leads to, and a leaf's two
@@ -226,16 +227,19 @@ class Tree:
         return self.edge_value.take(edges)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TreeEnsemble:
-    """Additive regression trees plus an offset; a split >= n_features raises TreeShapeError."""
+    """Additive regression trees plus an offset, frozen, with ``trees`` stored
+    as a tuple, so the check that raises TreeShapeError for a split >=
+    n_features holds for every tree the ensemble ever has."""
 
-    trees: list[Tree]
+    trees: tuple[Tree, ...]
     n_features: int
     base_score: float
     feature_names: list[str] | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "trees", tuple(self.trees))
         for ti, t in enumerate(self.trees):
             wide = np.flatnonzero(t.feature >= self.n_features)
             if len(wide):

@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 
 import groupshap
 from groupshap.cli import main, pipeline_demo
-from groupshap.shapley import ShapMatrix, write_grouping_file
+from groupshap.shapley import ShapMatrix, read_shap_csv, write_grouping_file
 from groupshap.simgen import synth_regression
-from groupshap.tree import TreeEnsemble, save_model
+from groupshap.tree import TreeEnsemble, read_csv_dataset, save_model
 
 from conftest import chain_tree
 
@@ -89,7 +89,7 @@ def test_explain_exact_matches_tree_on_stump_like_model(tmp_path, dataset_csv):
     np.testing.assert_allclose(a.values, b.values, atol=1e-9)
 
 
-def test_exact_budget_exceeded_exits_two(tmp_path, capsys):
+def test_exact_explain_of_a_tree_on_21_groups_exits_zero(tmp_path):
     rng = np.random.default_rng(0)
     n_feat = 25
     names = [f"f{i}" for i in range(n_feat)]
@@ -106,11 +106,16 @@ def test_exact_budget_exceeded_exits_two(tmp_path, capsys):
     model = TreeEnsemble([chain_tree(range(21))], n_feat, 0.0, feature_names=names)
     model_path = tmp_path / "wide.model"
     save_model(model, model_path)
+    out_path = tmp_path / "x.csv"
     code = main(["explain", "--model", str(model_path), "--data", str(data_path),
                  "--target", "y", "--groups", str(groups_path),
-                 "--method", "exact", "--out", str(tmp_path / "x.csv")])
-    assert code == 2
-    assert "exact enumeration limit" in capsys.readouterr().err
+                 "--method", "exact", "--out", str(out_path)])
+    assert code == 0
+    shap = read_shap_csv(out_path)
+    X = read_csv_dataset(data_path, "y").X
+    np.testing.assert_allclose(
+        shap.base_values + shap.values.sum(axis=1), model.predict_many(X), atol=1e-9
+    )
 
 
 def test_degenerate_statistics_exit_three(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Attribution: value function, exact enumeration, path algorithm."""
+"""Attribution: value function, exact group Shapley, path algorithm."""
 
 import csv
 import io
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from groupshap import tree
-from groupshap.errors import CoalitionBudgetExceeded, GroupingError, ShapeError
+from groupshap.errors import GroupingError, ShapeError
 from groupshap.shapley import (
     FeatureGrouping,
     ShapMatrix,
@@ -109,7 +109,7 @@ def test_value_function_hand_traced_partial_activation():
 
 
 # --------------------------------------------------------------------------
-# exact enumeration
+# exact group Shapley
 
 
 def test_single_group_gets_full_prediction_minus_base(rng):
@@ -143,18 +143,35 @@ def test_exact_matches_brute_force_oracle(rng):
 
 
 def test_exact_matches_brute_force_on_random_models(rng):
-    for _ in range(10):
-        n_features = int(rng.integers(2, 6))
-        model = random_ensemble(rng, n_features, int(rng.integers(1, 4)), 3)
-        n_groups = int(rng.integers(1, n_features + 1))
-        groups = random_partition(rng, n_features, n_groups)
-        grouping = FeatureGrouping(groups, n_features)
-        x = rng.uniform(size=n_features)
-        np.testing.assert_allclose(
-            exact_group_shapley(model, x, grouping),
-            brute_force_group_shapley(model, x, groups),
-            atol=1e-10,
-        )
+    for depth in (3, 6):
+        for _ in range(10):
+            n_features = int(rng.integers(2, 6))
+            model = random_ensemble(rng, n_features, int(rng.integers(1, 4)), depth)
+            n_groups = int(rng.integers(1, n_features + 1))
+            groups = random_partition(rng, n_features, n_groups)
+            grouping = FeatureGrouping(groups, n_features)
+            x = rng.uniform(size=n_features)
+            np.testing.assert_allclose(
+                exact_group_shapley(model, x, grouping),
+                brute_force_group_shapley(model, x, groups),
+                atol=1e-10,
+            )
+
+
+def test_exact_matches_brute_force_with_zero_cover_leaves(rng):
+    # a leaf no training row reached is legal; its cover ratio is 0 and the
+    # row-wise arithmetic must divide by no zero cover (warnings are errors)
+    tree = build_tree(
+        (0, 0.5, (1, 0.4, (1.0, 0), (2, 0.6, (2.0, 7), (4.0, 0))), (2, 0.3, (-1.0, 10), (0.5, 15)))
+    )
+    trees = [tree, stump(1, 0.5, 3.0, -2.0, 0.0, 20.0)]
+    model = TreeEnsemble(trees=trees, n_features=3, base_score=0.1)
+    groups = [("g0", [0]), ("g1", [1]), ("g2", [2])]
+    grouping = FeatureGrouping(groups, 3)
+    X = rng.uniform(size=(8, 3))
+    phi = exact_group_shapley(model, X, grouping)
+    for x, row in zip(X, phi):
+        np.testing.assert_allclose(row, brute_force_group_shapley(model, x, groups), atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", [1 << 20, 40, 1])
@@ -187,12 +204,16 @@ def test_value_function_shapes():
         value_function(model, np.zeros((2, 3, 2)), [0])
 
 
-def test_budget_error_above_twenty_groups():
-    # one tree that splits on 21 distinct groups
-    model = TreeEnsemble(trees=[chain_tree(range(21))], n_features=21, base_score=0.0)
-    grouping = FeatureGrouping.singletons(21)
-    with pytest.raises(CoalitionBudgetExceeded, match="tree 0 splits on 21 groups"):
-        exact_group_shapley(model, np.zeros(21), grouping)
+def test_exact_solves_a_tree_on_more_than_twenty_groups(rng):
+    # one tree that splits on 21 distinct groups, of 25; 2^21 coalitions
+    model = TreeEnsemble(trees=[chain_tree(range(21))], n_features=25, base_score=0.0)
+    X = np.vstack([np.zeros(25), rng.uniform(size=(5, 25))])
+    phi = exact_group_shapley(model, X, FeatureGrouping.singletons(25))
+    np.testing.assert_allclose(
+        phi.sum(axis=1) + base_value(model), model.predict_many(X), atol=1e-9
+    )
+    assert np.all(phi[:, 21:] == 0.0)
+    assert np.abs(phi[:, :21]).max() > 0.1
 
 
 def test_zero_tree_ensemble_checks_row_width():
@@ -318,7 +339,7 @@ def test_stump_ensembles_make_path_attribution_exact(rng):
         model = random_stump_ensemble(rng, n_features, int(rng.integers(1, 6)))
         groups = random_partition(rng, n_features, int(rng.integers(1, min(6, n_features) + 1)))
         check(model, FeatureGrouping(groups, n_features))
-    # more groups than EXACT_GROUP_LIMIT, but each stump splits on one
+    # 25 groups over 40 stumps, each stump splitting on one
     check(random_stump_ensemble(rng, 25, 40), FeatureGrouping.singletons(25))
 
 

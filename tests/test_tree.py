@@ -1,6 +1,7 @@
 """Tree training, prediction and model-file round trips."""
 
 import csv
+import dataclasses
 import json
 import math
 import re
@@ -424,6 +425,20 @@ def test_ensemble_refuses_a_split_outside_its_width(tmp_path, width):
     with pytest.raises(ModelInvariantError, match=re.escape(reason)) as err:
         load_model(path)
     assert (err.value.tree_index, err.value.node_index) == (1, 2)
+
+
+def test_ensemble_is_frozen_with_a_tuple_of_trees():
+    # a tree added after construction would skip the width check, and the
+    # walk would end in an IndexError
+    model = TreeEnsemble([leaf_tree(1.0)], 3, 0.0)
+    wide = build_tree((5, 0.5, (1.0, 1.0), (2.0, 1.0)))
+    with pytest.raises(AttributeError):
+        model.trees.append(wide)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.trees = [wide]
+    assert isinstance(model.trees, tuple) and len(model.trees) == 1
+    both = TreeEnsemble(model.trees + model.trees, 3, 0.5)
+    np.testing.assert_array_equal(both.predict_many(np.zeros((2, 3))), [2.5, 2.5])
 
 
 def test_predict_is_deterministic_and_shape_checked(rng):
