@@ -48,7 +48,6 @@ from .shapley import (
 )
 from .simgen import (
     Alternative,
-    FactorSample,
     SimSpec,
     ZModel,
     alternative_mu,

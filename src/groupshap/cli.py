@@ -39,8 +39,6 @@ from .experiments import (
 from .inference import TESTS, TestReport, group_joint_test
 from .shapley import (
     FeatureGrouping,
-    ShapMatrix,
-    base_value,
     exact_group_shapley,
     read_grouping_file,
     read_shap_csv,
@@ -195,11 +193,10 @@ def _cmd_explain(args) -> int:
     X = _align_features(data, model)
     names = model.feature_names or data.columns
     grouping = read_grouping_file(args.groups, list(names))
-    if args.method == "tree":
-        shap = tree_group_shap(model, X, grouping)
-    else:
-        values = exact_group_shapley(model, X, grouping)
-        shap = ShapMatrix(values, np.full(X.shape[0], base_value(model)), list(grouping.names))
+    # looked up when the command runs, so a wrapper set on either name of
+    # this module is the one called
+    explain = tree_group_shap if args.method == "tree" else exact_group_shapley
+    shap = explain(model, X, grouping)
     shap.to_csv(args.out)
     out_dir = os.path.dirname(os.path.abspath(args.out))
     _write_run_config(out_dir, args, outputs=[args.out])

@@ -184,7 +184,7 @@ def _run_block(spec: SimSpec, start: int, stop: int, tests, held) -> list[Outcom
     a large cell faults its pages in again (3x the minor faults on the
     K=500 grid of the benchmark, run on one thread).
     """
-    held.phi = (generate(spec, start) if stop - start == 1 else generate(spec, start, stop)).phi
+    held.phi = generate(spec, start) if stop - start == 1 else generate(spec, start, stop)
     return outcomes_from_moments(moments(held.phi), spec.alpha, tests)
 
 

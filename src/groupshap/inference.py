@@ -251,12 +251,12 @@ class Outcomes:
 def _outcomes(test, alpha, stat, crit, p, masks, reasons, extra=None, fields=None) -> Outcomes:
     """Outcomes whose degenerate samples follow `masks`, in falling
     precedence, with the (tag, reason) pairs `reasons`. A sample none of
-    them flags is tagged FloatRange if its statistic or p-value is not
-    finite: a safety net, as moments keeps a sample's statistics in the
-    float range at every scale."""
-    # p is a probability where it is finite, so stat + p is finite exactly
-    # where both are
-    masks = (*masks, ~np.isfinite(stat + p))
+    them flags is tagged FloatRange if its statistic or p-value is nan. An
+    infinite statistic is a decision: a sample whose mean is huge beside its
+    spread (moments normalises each sample, but the statistic of a spread
+    2^-634 below the level does not fit a float) rejects with p = 0."""
+    # p is a probability or nan, so stat + p is nan exactly where either is
+    masks = (*masks, np.isnan(stat + p))
     flag = np.zeros(stat.shape, dtype=np.intp)
     for i in range(len(masks), 0, -1):
         flag[masks[i - 1]] = i

@@ -6,7 +6,8 @@ path-dependent cover-weighted marginalization (``value_function``), solved in
 closed form over each leaf's path. The path route walks each observation's
 decision path and credits every split's change in node value to the group of
 the split feature (a Saabas-style attribution); it equals the exact value
-only on stumps. Both take one feature vector or an S x F matrix.
+only on stumps. Both take an S x F matrix (a feature vector is one row) and
+return a ``ShapMatrix`` of S rows with ``base_value`` as every row's base.
 """
 
 from __future__ import annotations
@@ -160,6 +161,11 @@ def read_shap_csv(path) -> ShapMatrix:
 # value function and exact group Shapley
 
 
+def base_value(model: TreeEnsemble) -> float:
+    """Value of the empty coalition: base_score plus each tree's root value."""
+    return float(model.base_score + sum(t.value[t.root] for t in model.trees))
+
+
 def _marginal_tree_values(t: Tree, X: np.ndarray, active: np.ndarray, i: int) -> np.ndarray:
     """Marginal value of the subtree at node i for every row of X at once."""
     f = t.feature[i]
@@ -173,18 +179,16 @@ def _marginal_tree_values(t: Tree, X: np.ndarray, active: np.ndarray, i: int) ->
     return (t.cover[l] * vl + t.cover[r] * vr) / t.cover[i]
 
 
-def value_function(model: TreeEnsemble, x, active) -> float | np.ndarray:
-    """Prediction with only `active` features known.
+def value_function(model: TreeEnsemble, X, active) -> np.ndarray:
+    """Prediction for each row of X with only `active` features known.
 
-    Splits on active features follow x; splits on inactive features average
-    both branches with cover weights. With all features active this is
-    predict(x); with none it is base_score plus the root values.
-
-    ``x`` is one feature vector (returns a float) or an S x F matrix (returns
-    the S values, one per row). Every row goes through the same operations in
-    the same order either way, so a row's value has the same bits in both.
+    Splits on active features follow the row; splits on inactive features
+    average both branches with cover weights. With all features active this
+    is predict_many(X); with none it is base_value(model). Every row goes
+    through the same operations in the same order, so a row's value has the
+    bits it has alone.
     """
-    X, one = feature_matrix(x, model.n_features)
+    X = feature_matrix(X, model.n_features)
     mask = np.zeros(model.n_features, dtype=bool)
     active = list(active)
     if active:
@@ -195,7 +199,7 @@ def value_function(model: TreeEnsemble, x, active) -> float | np.ndarray:
     total = np.full(X.shape[0], model.base_score)
     for t in model.trees:
         total += _marginal_tree_values(t, X, mask, t.root)
-    return float(total[0]) if one else total
+    return total
 
 
 def _leaf_paths(t: Tree, f2g: list[int], i: int, groups: dict):
@@ -213,7 +217,7 @@ def _leaf_paths(t: Tree, f2g: list[int], i: int, groups: dict):
         yield from _leaf_paths(t, f2g, child, {**groups, f2g[f]: (b * ratio, splits + (split,))})
 
 
-def exact_group_shapley(model: TreeEnsemble, x, grouping: FeatureGrouping) -> np.ndarray:
+def exact_group_shapley(model: TreeEnsemble, X, grouping: FeatureGrouping) -> ShapMatrix:
     """Exact Shapley values of ``value_function``'s group game, in closed form.
 
     Each leaf l adds v_l times a product over the groups on its path: a_g(x),
@@ -225,13 +229,13 @@ def exact_group_shapley(model: TreeEnsemble, x, grouping: FeatureGrouping) -> np
 
     and the integrand has degree below D, the most groups on one path, so
     Gauss-Legendre with D // 2 + 1 nodes gives it exactly. Groups on no path
-    get 0.0. ``x`` is one feature vector (returns the K values) or an S x F
-    matrix (returns S x K). Every step is elementwise and one ``np.bincount``
-    sums each row's terms in a fixed order: a row's bits are those it has alone.
+    get 0.0. Returns the S x K values for the rows of X. Every step is
+    elementwise and one ``np.bincount`` sums each row's terms in a fixed
+    order: a row's bits are those it has alone.
     """
     if grouping.n_features != model.n_features:
         raise ShapeError("grouping does not match the model's feature count")
-    X, one = feature_matrix(x, model.n_features)
+    X = feature_matrix(X, model.n_features)
     K = grouping.n_groups
     f2g = grouping.feature_to_group().tolist()
     leaves = [leaf for t in model.trees for leaf in _leaf_paths(t, f2g, t.root, {})]
@@ -262,16 +266,11 @@ def exact_group_shapley(model: TreeEnsemble, x, grouping: FeatureGrouping) -> np
         terms = v * (a - b) * integral.reshape(n, -1)
         cell = (np.arange(n)[:, None] * (K + 1) + group).ravel()
         phi[rows] = np.bincount(cell, terms.ravel(), n * (K + 1)).reshape(n, K + 1)[:, :K]
-    return phi[0] if one else phi
+    return ShapMatrix(phi, np.full(X.shape[0], base_value(model)), list(grouping.names))
 
 
 # --------------------------------------------------------------------------
 # fast per-node path attribution
-
-
-def base_value(model: TreeEnsemble) -> float:
-    """Value of the empty coalition: base_score plus each tree's root value."""
-    return float(model.base_score + sum(t.value[t.root] for t in model.trees))
 
 
 def tree_group_shap(model: TreeEnsemble, X, grouping: FeatureGrouping) -> ShapMatrix:
@@ -293,7 +292,7 @@ def tree_group_shap(model: TreeEnsemble, X, grouping: FeatureGrouping) -> ShapMa
     """
     if grouping.n_features != model.n_features:
         raise ShapeError("grouping does not match the model's feature count")
-    X, _ = feature_matrix(X, model.n_features)
+    X = feature_matrix(X, model.n_features)
     S = X.shape[0]
     K = grouping.n_groups
     f2g = grouping.feature_to_group()
@@ -306,5 +305,4 @@ def tree_group_shap(model: TreeEnsemble, X, grouping: FeatureGrouping) -> ShapMa
         for t, group, delta in tables:
             for edges in t.descend(block):
                 np.add.at(cells, row_base + group.take(edges), delta.take(edges))
-    base = base_value(model)
-    return ShapMatrix(phi, np.full(S, base), list(grouping.names))
+    return ShapMatrix(phi, np.full(S, base_value(model)), list(grouping.names))

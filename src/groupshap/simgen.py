@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,13 +66,6 @@ class SimSpec:
             raise ValueError(f"need K >= 1 and S >= 4, got K={self.K}, S={self.S}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
-
-
-@dataclass
-class FactorSample:
-    phi: np.ndarray  # S x K, or R x S x K for a block of replications
-    mu: np.ndarray  # length K
-    spec: SimSpec = field(repr=False)
 
 
 def replication_rng(seed: int, index: int) -> np.random.Generator:
@@ -134,10 +127,11 @@ def alternative_mu(kind: Alternative, K: int, S: int) -> np.ndarray:
     return mu
 
 
-def generate(spec: SimSpec, replication_index: int, stop: int | None = None) -> FactorSample:
-    """Replication `replication_index` of a cell, a deterministic function of
-    (spec.seed, replication_index). Given `stop`, the block of replications
-    replication_index .. stop - 1 as an R x S x K stack."""
+def generate(spec: SimSpec, replication_index: int, stop: int | None = None) -> np.ndarray:
+    """Replication `replication_index` of a cell as its S x K sample phi, a
+    deterministic function of (spec.seed, replication_index). Given `stop`,
+    the block of replications replication_index .. stop - 1 as an R x S x K
+    stack."""
     rng = replication_rng(spec.seed, replication_index)
     state = rng.bit_generator.state
     z = []
@@ -148,10 +142,9 @@ def generate(spec: SimSpec, replication_index: int, stop: int | None = None) -> 
         rng.bit_generator.state = state
         z.append(draw_z(spec.model, spec.S, spec.K, rng))
     z = z[0] if stop is None else np.stack(z)
-    mu = alternative_mu(spec.alternative, spec.K, spec.S)
     phi = _apply_root(z, spec.K, spec.rho, spec.sigma2)
-    phi += mu
-    return FactorSample(phi=phi, mu=mu, spec=spec)
+    phi += alternative_mu(spec.alternative, spec.K, spec.S)
+    return phi
 
 
 def read_simspec_file(path) -> dict:

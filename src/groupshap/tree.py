@@ -4,10 +4,14 @@ Trees are stored as parallel node arrays. Leaves carry ``feature == -1``;
 internal nodes split as ``x[feature] <= threshold goes left``. Every node
 carries ``cover`` (training rows that reached it) and ``value`` (leaf output
 for leaves, cover-weighted mean of the children for internal nodes), which is
-what the attribution code walks. ``Tree`` checks every node, however built,
-and stores the internal values it computes (so a trained model is a fixed
-point of save and load); ``TreeEnsemble``, frozen with a tuple of trees,
-checks split features' range.
+what the attribution code walks. A tree's root is its one parentless node.
+``Tree`` checks every node, however built, and stores the internal values it
+computes (so a trained model is a fixed point of save and load);
+``TreeEnsemble``, frozen with a tuple of trees, checks split features' range.
+
+``predict_many`` and the attribution functions take an S x F matrix,
+checked by ``feature_matrix``, and return one result per row: a single
+feature vector is a matrix of one row.
 
 Every row-wise traversal is ``Tree.descend``, over the tree's edge table: an
 edge ``2 * node + went_left`` indexes the child it leads to, and a leaf's two
@@ -64,11 +68,11 @@ class TreeShapeError(ValueError):
         self.reason, self.node, self.tree = reason, node, tree
 
 
-def _preorder(feature, left, right, root=None) -> tuple[list[int], int]:
+def _preorder(feature, left, right) -> tuple[list[int], int]:
     """A tree's nodes in preorder from its root, and its depth, from its node
-    lists. Raises TreeShapeError unless every child is a node, the root (if
-    given) is the only node without a parent, every other node has one, and
-    the root reaches every node."""
+    lists. Raises TreeShapeError unless every child is a node, one node (the
+    root) has no parent, every other node has one, and the root reaches
+    every node."""
     n = len(feature)
     parents = [0] * n
     for i, f in enumerate(feature):
@@ -80,14 +84,13 @@ def _preorder(feature, left, right, root=None) -> tuple[list[int], int]:
     roots = [i for i in range(n) if not parents[i]]
     if not roots:
         raise TreeShapeError("every node has a parent, so the nodes form a cycle")
-    root = roots[0] if root is None else root
-    if roots != [root]:
-        raise TreeShapeError("the root must be the only parentless node", min(set(roots) - {root}))
+    if len(roots) > 1:
+        raise TreeShapeError("the root must be the only parentless node", roots[1])
     if max(parents) > 1:
         raise TreeShapeError("node has more than one parent", parents.index(max(parents)))
     # with one parent for every node but the root, the walk meets no node
     # twice; a cycle apart from the root is left unreached
-    order, depth, stack = [], 0, [(root, 0)]
+    order, depth, stack = [], 0, [(roots[0], 0)]
     while stack:
         i, d = stack.pop()
         order.append(i)
@@ -134,11 +137,12 @@ class Tree:
     """One binary regression tree as parallel node arrays, checked and frozen.
 
     Construction raises ``TreeShapeError`` (a ValueError) naming the node
-    unless the nodes form one tree from ``root`` (if None, the parentless
-    node), values and covers are finite, covers >= 0, splits on features >= 0
-    at finite thresholds, and internal covers > 0 and values their children's
-    sum and cover-weighted mean, to 1e-9; it stores those means. The six node
-    arrays are read-only copies, so tables built from them cannot go stale.
+    unless the nodes form one tree from their one parentless node (``root``,
+    any node id), values and covers are finite, covers >= 0, splits on
+    features >= 0 at finite thresholds, and internal covers > 0 and values
+    their children's sum and cover-weighted mean, to 1e-9; it stores those
+    means. The six node arrays are read-only copies, so tables built from
+    them cannot go stale.
 
     Edge ``2 * node + went_left`` leaves ``node`` to the left (went_left =
     1) or to the right (0). Five read-only tables are indexed by edge: the
@@ -155,7 +159,7 @@ class Tree:
     right: np.ndarray
     value: np.ndarray  # float64
     cover: np.ndarray  # float64
-    root: int | None = 0
+    root: int = field(init=False)
     depth: int = field(init=False)  # edges on the longest root-to-leaf path
     edge_feature: np.ndarray = field(init=False, repr=False, compare=False)
     edge_threshold: np.ndarray = field(init=False, repr=False, compare=False)
@@ -173,7 +177,7 @@ class Tree:
             cover=np.array(self.cover, dtype=float),
         )
         lists = [getattr(self, key).tolist() for key in _NODE_KEYS[1:]]
-        order, depth = _preorder(lists[0], *lists[2:4], self.root)
+        order, depth = _preorder(lists[0], *lists[2:4])
         self._freeze(value=np.array(_cover_weighted_values(order, *lists)))
         leaf = self.feature == LEAF
         node = np.arange(self.n_nodes)
@@ -246,20 +250,13 @@ class TreeEnsemble:
                 i, n = int(wide[0]), self.n_features
                 raise TreeShapeError(f"split feature {t.feature[i]} outside [0, {n})", i, ti)
 
-    def predict(self, x) -> float:
-        """Prediction for a single feature vector: base_score + leaf sum."""
-        X, one = feature_matrix(x, self.n_features)
-        if not one:
-            raise ShapeError(f"expected one feature vector, got shape {X.shape}")
-        return float(self.predict_many(X)[0])
-
     def predict_many(self, X) -> np.ndarray:
-        """Vectorized prediction over the rows of an S x F matrix.
+        """base_score plus the leaf sum, for each row of X (see feature_matrix).
 
         The rows are walked in blocks (``row_blocks``), every tree in turn
         within a block, so each row adds its leaf values in tree order.
         """
-        X, _ = feature_matrix(X, self.n_features)
+        X = feature_matrix(X, self.n_features)
         out = np.full(X.shape[0], self.base_score)
         for rows in row_blocks(*X.shape):
             block, total = X[rows], out[rows]
@@ -275,8 +272,8 @@ def row_blocks(n_rows: int, width: int) -> list[slice]:
     return [slice(start, min(start + size, n_rows)) for start in range(0, n_rows, size)]
 
 
-def feature_matrix(X, n_features: int) -> tuple[np.ndarray, bool]:
-    """X as an S x F float matrix, and whether X was one feature vector.
+def feature_matrix(X, n_features: int) -> np.ndarray:
+    """X as an S x F float matrix; one feature vector is one row.
 
     Ragged rows, a cell that is not a number, any dimension other than 1 or
     2, a width other than n_features and a non-finite cell raise ShapeError.
@@ -294,7 +291,7 @@ def feature_matrix(X, n_features: int) -> tuple[np.ndarray, bool]:
     if not np.isfinite(X).all():
         raise ShapeError("feature matrix holds a non-finite value")
     # C order, so that a block of rows is one contiguous view for the walk
-    return np.ascontiguousarray(np.atleast_2d(X)), X.ndim == 1
+    return np.ascontiguousarray(np.atleast_2d(X))
 
 
 @dataclass
@@ -569,7 +566,7 @@ def train_gbm(
     ]:
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
-    X, _ = feature_matrix(data.X, len(data.columns))
+    X = feature_matrix(data.X, len(data.columns))
     y = np.asarray(data.y, dtype=float)
     if y.shape != X.shape[:1]:
         raise DataError(f"expected a target of {X.shape[0]} values, got shape {y.shape}")
@@ -675,7 +672,7 @@ def _parse_tree(tree_doc, ti: int) -> Tree:
                 raise ModelInvariantError("split feature -1 is negative", ti, i)
             feature[i], threshold[i], left[i], right[i] = f, thr, lc, rc
     try:
-        return Tree(feature, threshold, left, right, value, cover, root=None)
+        return Tree(feature, threshold, left, right, value, cover)
     except TreeShapeError as exc:
         raise ModelInvariantError(exc.reason, ti, exc.node) from None
 

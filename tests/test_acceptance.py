@@ -157,7 +157,7 @@ def test_criterion_4_oracle_equivalence():
         grouping = FeatureGrouping(random_partition(rng, n_features, n_groups), n_features)
         x = rng.uniform(size=n_features)
         tree_phi = tree_group_shap(model, [x], grouping).values[0]
-        exact_phi = exact_group_shapley(model, x, grouping)
+        exact_phi = exact_group_shapley(model, x, grouping).values[0]
         worst_gap = max(worst_gap, float(np.abs(tree_phi - exact_phi).max()))
     ok_stumps = worst_gap <= 1e-9
     _report("criterion 4 [stump agreement]", ok_stumps, f"max |tree - exact| = {worst_gap:.3g}")
@@ -170,13 +170,13 @@ def test_criterion_4_oracle_equivalence():
             random_partition(rng, n_features, int(rng.integers(1, n_features + 1))), n_features
         )
         x = rng.uniform(size=n_features)
-        pred = model.predict(x)
+        pred = model.predict_many(x)[0]
         base = base_value(model)
         tree_phi = tree_group_shap(model, [x], grouping)
         worst_eff = max(
             worst_eff,
             abs(float(tree_phi.values[0].sum() + tree_phi.base_values[0]) - pred),
-            abs(float(exact_group_shapley(model, x, grouping).sum()) + base - pred),
+            abs(float(exact_group_shapley(model, x, grouping).values[0].sum()) + base - pred),
         )
     ok_eff = worst_eff <= 1e-8
     _report("criterion 4 [efficiency]", ok_eff, f"max |sum(phi) + base - prediction| = {worst_eff:.3g}")
@@ -249,7 +249,7 @@ def test_criterion_6_null_calibration():
     ds = np.empty(reps)
     # replications start .. start + block - 1 as one stack, as the grid runs them
     for start in range(0, reps, block):
-        phi = generate(spec, start, start + block).phi
+        phi = generate(spec, start, start + block)
         (gs,) = outcomes_from_moments(moments(phi), ALPHA, ("gs",))
         tns[start:start + block] = gs.extra["t1_normalized"]
         ds[start:start + block] = gs.extra["d"]
@@ -318,7 +318,7 @@ def test_criterion_7_properties(rho05_grid, gaussian_side_grid):
 
     # determinism under seed
     spec = SimSpec(model="skewed", K=6, S=30, rho=0.4, seed=MASTER_SEED)
-    ok = np.array_equal(generate(spec, 7).phi, generate(spec, 7).phi)
+    ok = np.array_equal(generate(spec, 7), generate(spec, 7))
     demo_a = pipeline_demo(seed=11, n=250, n_groups=5)
     demo_b = pipeline_demo(seed=11, n=250, n_groups=5)
     ok &= demo_a == demo_b

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import importlib.util
 import io
 import json
 import math
@@ -82,11 +83,35 @@ def test_explain_exact_matches_tree_on_stump_like_model(tmp_path, dataset_csv):
     assert main(["explain", "--model", str(model_path), "--data", str(data_path),
                  "--target", "target", "--groups", str(groups_path),
                  "--method", "exact", "--out", str(exact_out)]) == 0
-    from groupshap.shapley import read_shap_csv
-
     a = read_shap_csv(tree_out)
     b = read_shap_csv(exact_out)
     np.testing.assert_allclose(a.values, b.values, atol=1e-9)
+    # both routes give one result type: the same header and base column
+    assert tree_out.read_text().splitlines()[0] == exact_out.read_text().splitlines()[0]
+    assert a.base_values.tobytes() == b.base_values.tobytes()
+
+
+def test_traced_explain_records_both_attribution_spans(tmp_path, dataset_csv):
+    # perfbench's tracer wraps the attribution functions under their names in
+    # cli, so explain must look them up by those names when it runs
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    train, explain = _explain_argv(tmp_path, dataset_csv)
+    assert main(train) == 0
+    runs = {method: explain + ["--method", method] for method in ("tree", "exact")}
+    untraced = {}
+    for method, argv in runs.items():
+        assert main(argv) == 0
+        untraced[method] = (tmp_path / "s.csv").read_bytes()
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        for method, argv in runs.items():
+            assert main(argv) == 0
+            assert (tmp_path / "s.csv").read_bytes() == untraced[method]
+    names = {span.name for span in tracer.take()}
+    assert {"shapley.tree_group_shap", "shapley.exact_group_shapley"} <= names
 
 
 def test_exact_explain_of_a_tree_on_21_groups_exits_zero(tmp_path):

@@ -615,11 +615,14 @@ def test_spread_tiny_beside_the_level_is_not_lost():
         )
         assert rep.details["scale"] == np.ldexp(ref.details["scale"], -664)
     # with the noise 2^-634 below the level, the squared mean norm is about
-    # 2^1268 times the spread: the spread is seen, but the statistic does not
-    # fit a float
+    # 2^1268 times the spread: the spread is seen, and the statistic, too
+    # large for a float, is an infinite one that rejects
     phi[:, 1:] = np.ldexp(phi[:, 1:], -332)
     for test in (gs_test, cq_test):
-        assert test(phi).degenerate == "FloatRange"
+        rep = test(phi)
+        assert rep.degenerate is None and rep.reject
+        assert (rep.statistic, rep.p_value) == (math.inf, 0.0)
+        assert math.isfinite(rep.critical_value)
 
 
 def test_columns_2_to_the_600_apart_leave_wald_singular(rng):
@@ -687,7 +690,7 @@ def _assert_stack_matches_reference(stack, alpha=0.05):
 def test_stacked_kernel_matches_reference_bit_for_bit(model, K, S):
     # K < S takes the covariance branch, K >= S the Gram branch
     spec = SimSpec(model=model, K=K, S=S, rho=0.5, seed=17)
-    _assert_stack_matches_reference(generate(spec, 0, 12).phi)
+    _assert_stack_matches_reference(generate(spec, 0, 12))
 
 
 def test_stacked_kernel_isolates_singular_samples(rng):

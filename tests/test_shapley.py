@@ -83,29 +83,28 @@ def test_grouping_file_rejects_partial_cover(tmp_path):
 
 def test_value_function_all_features_is_predict(rng):
     model = random_ensemble(rng, 3, 4, 3)
-    for _ in range(5):
-        x = rng.uniform(size=3)
-        assert value_function(model, x, [0, 1, 2]) == pytest.approx(
-            model.predict(x), abs=1e-12
-        )
+    X = rng.uniform(size=(5, 3))
+    np.testing.assert_allclose(
+        value_function(model, X, [0, 1, 2]), model.predict_many(X), atol=1e-12
+    )
 
 
 def test_value_function_empty_on_even_stump():
     model = TreeEnsemble(
         trees=[stump(0, 0.5, 0.0, 1.0, 50, 50)], n_features=1, base_score=0.25
     )
-    assert value_function(model, [0.9], []) == pytest.approx(0.75)
+    assert value_function(model, [0.9], [])[0] == pytest.approx(0.75)
 
 
 def test_value_function_hand_traced_partial_activation():
     model = _two_feature_tree_model(base=0.25)
     x = [0.3, 0.8]
     # f0 active: follow left, then mix the f1 leaves by cover: (10*1+30*2)/40
-    assert value_function(model, x, [0]) == pytest.approx(0.25 + 1.75)
+    assert value_function(model, x, [0])[0] == pytest.approx(0.25 + 1.75)
     # f1 active: mix the root by cover; left branch resolves to leaf 2
-    assert value_function(model, x, [1]) == pytest.approx(0.25 + 0.4 * 2 + 0.6 * 5)
-    assert value_function(model, x, [0, 1]) == pytest.approx(0.25 + 2.0)
-    assert value_function(model, x, []) == pytest.approx(0.25 + 3.7)
+    assert value_function(model, x, [1])[0] == pytest.approx(0.25 + 0.4 * 2 + 0.6 * 5)
+    assert value_function(model, x, [0, 1])[0] == pytest.approx(0.25 + 2.0)
+    assert value_function(model, x, [])[0] == pytest.approx(0.25 + 3.7)
 
 
 # --------------------------------------------------------------------------
@@ -117,14 +116,15 @@ def test_single_group_gets_full_prediction_minus_base(rng):
     grouping = FeatureGrouping([("all", [0, 1, 2, 3])], 4)
     x = rng.uniform(size=4)
     phi = exact_group_shapley(model, x, grouping)
-    assert phi[0] == pytest.approx(model.predict(x) - base_value(model), abs=1e-10)
+    expected = model.predict_many(x)[0] - phi.base_values[0]
+    assert phi.values[0, 0] == pytest.approx(expected, abs=1e-10)
 
 
 def test_symmetric_groups_get_equal_shares():
     trees = [stump(0, 0.5, 0.0, 1.0), stump(1, 0.5, 0.0, 1.0)]
     model = TreeEnsemble(trees=trees, n_features=2, base_score=0.0)
     grouping = FeatureGrouping([("a", [0]), ("b", [1])], 2)
-    phi = exact_group_shapley(model, [0.8, 0.8], grouping)
+    phi = exact_group_shapley(model, [0.8, 0.8], grouping).values[0]
     assert phi[0] == pytest.approx(phi[1], abs=1e-12)
 
 
@@ -137,7 +137,7 @@ def test_exact_matches_brute_force_oracle(rng):
     grouping = FeatureGrouping(groups, 3)
     for _ in range(8):
         x = rng.uniform(size=3)
-        ours = exact_group_shapley(model, x, grouping)
+        ours = exact_group_shapley(model, x, grouping).values[0]
         oracle = brute_force_group_shapley(model, x, groups)
         np.testing.assert_allclose(ours, oracle, atol=1e-12)
 
@@ -152,7 +152,7 @@ def test_exact_matches_brute_force_on_random_models(rng):
             grouping = FeatureGrouping(groups, n_features)
             x = rng.uniform(size=n_features)
             np.testing.assert_allclose(
-                exact_group_shapley(model, x, grouping),
+                exact_group_shapley(model, x, grouping).values[0],
                 brute_force_group_shapley(model, x, groups),
                 atol=1e-10,
             )
@@ -169,7 +169,7 @@ def test_exact_matches_brute_force_with_zero_cover_leaves(rng):
     groups = [("g0", [0]), ("g1", [1]), ("g2", [2])]
     grouping = FeatureGrouping(groups, 3)
     X = rng.uniform(size=(8, 3))
-    phi = exact_group_shapley(model, X, grouping)
+    phi = exact_group_shapley(model, X, grouping).values
     for x, row in zip(X, phi):
         np.testing.assert_allclose(row, brute_force_group_shapley(model, x, groups), atol=1e-12)
 
@@ -185,19 +185,21 @@ def test_matrix_form_matches_rows_bit_for_bit(seed):
             random_partition(rng, n_features, int(rng.integers(1, n_features + 1))), n_features
         )
         X = rng.uniform(size=(int(rng.integers(1, 12)), n_features))
-        rows = np.vstack([exact_group_shapley(model, x, grouping) for x in X])
-        assert np.array_equal(exact_group_shapley(model, X, grouping), rows)
+        rows = np.vstack([exact_group_shapley(model, x, grouping).values for x in X])
+        assert np.array_equal(exact_group_shapley(model, X, grouping).values, rows)
         active = [int(i) for i in np.nonzero(rng.random(n_features) < 0.5)[0]]
         values = value_function(model, X, active)
-        assert np.array_equal(values, [value_function(model, x, active) for x in X])
+        assert np.array_equal(values, np.concatenate([value_function(model, x, active) for x in X]))
         assert np.array_equal(values, [reference_value_function(model, x, active) for x in X])
 
 
 def test_value_function_shapes():
     model = _two_feature_tree_model()
-    assert isinstance(value_function(model, [0.2, 0.7], [0]), float)
+    # a feature vector is one row
+    assert value_function(model, [0.2, 0.7], [0]).shape == (1,)
     assert value_function(model, np.zeros((3, 2)), [0]).shape == (3,)
-    assert exact_group_shapley(model, np.zeros((3, 2)), FeatureGrouping.singletons(2)).shape == (3, 2)
+    phi = exact_group_shapley(model, np.zeros((3, 2)), FeatureGrouping.singletons(2))
+    assert phi.values.shape == (3, 2) and phi.group_names == ["f0", "f1"]
     with pytest.raises(ShapeError):
         value_function(model, np.zeros((3, 3)), [0])
     with pytest.raises(ShapeError):
@@ -208,7 +210,7 @@ def test_exact_solves_a_tree_on_more_than_twenty_groups(rng):
     # one tree that splits on 21 distinct groups, of 25; 2^21 coalitions
     model = TreeEnsemble(trees=[chain_tree(range(21))], n_features=25, base_score=0.0)
     X = np.vstack([np.zeros(25), rng.uniform(size=(5, 25))])
-    phi = exact_group_shapley(model, X, FeatureGrouping.singletons(25))
+    phi = exact_group_shapley(model, X, FeatureGrouping.singletons(25)).values
     np.testing.assert_allclose(
         phi.sum(axis=1) + base_value(model), model.predict_many(X), atol=1e-9
     )
@@ -219,7 +221,9 @@ def test_exact_solves_a_tree_on_more_than_twenty_groups(rng):
 def test_zero_tree_ensemble_checks_row_width():
     model = TreeEnsemble(trees=[], n_features=2, base_score=1.25)
     grouping = FeatureGrouping.singletons(2)
-    np.testing.assert_array_equal(exact_group_shapley(model, np.zeros((3, 2)), grouping), 0.0)
+    phi = exact_group_shapley(model, np.zeros((3, 2)), grouping)
+    np.testing.assert_array_equal(phi.values, 0.0)
+    np.testing.assert_array_equal(phi.base_values, 1.25)
     for x in (np.zeros(3), np.zeros((4, 3)), np.zeros((2, 2, 2)), 0.0):
         with pytest.raises(ShapeError):
             exact_group_shapley(model, x, grouping)
@@ -228,7 +232,7 @@ def test_zero_tree_ensemble_checks_row_width():
 def test_single_feature_model():
     model = TreeEnsemble(trees=[stump(0, 0.5, 1.0, 2.0)], n_features=1, base_score=0.0)
     phi = exact_group_shapley(model, [0.9], FeatureGrouping.singletons(1))
-    assert phi[0] == pytest.approx(model.predict([0.9]) - base_value(model))
+    assert phi.values[0, 0] == pytest.approx(model.predict_many([0.9])[0] - base_value(model))
 
 
 def test_additive_model_splits_by_feature(rng):
@@ -236,11 +240,11 @@ def test_additive_model_splits_by_feature(rng):
     stumps = [stump(f, 0.5, float(rng.normal()), float(rng.normal())) for f in range(3)]
     model = TreeEnsemble(trees=stumps, n_features=3, base_score=0.3)
     x = rng.uniform(size=3)
-    phi = exact_group_shapley(model, x, FeatureGrouping.singletons(3))
+    phi = exact_group_shapley(model, x, FeatureGrouping.singletons(3)).values[0]
     for f, t in enumerate(stumps):
         own = value_function(
             TreeEnsemble(trees=[t], n_features=3, base_score=0.0), x, [f]
-        ) - t.value[t.root]
+        )[0] - t.value[t.root]
         assert phi[f] == pytest.approx(own, abs=1e-10)
 
 
@@ -254,7 +258,7 @@ def test_stump_path_attribution_matches_hand_value():
     shap = tree_group_shap(model, [[0.9]], grouping)
     assert shap.values[0, 0] == pytest.approx(0.5)  # leaf 2.0 minus root 1.5
     exact = exact_group_shapley(model, [0.9], grouping)
-    assert shap.values[0, 0] == pytest.approx(exact[0], abs=1e-12)
+    assert shap.values[0, 0] == pytest.approx(exact.values[0, 0], abs=1e-12)
 
 
 def test_zero_tree_ensemble_gives_zero_matrix():
@@ -279,7 +283,7 @@ def test_hand_telescoped_depth_three_tree():
     assert shap.values[0, 0] == pytest.approx(2.3 + 3 - 13 / 3)
     assert shap.values[0, 1] == pytest.approx(13 / 3 - 3.5)
     assert shap.base_values[0] == pytest.approx(1.2)
-    assert shap.values[0].sum() + shap.base_values[0] == pytest.approx(model.predict(x))
+    assert shap.values[0].sum() + shap.base_values[0] == pytest.approx(model.predict_many(x)[0])
 
 
 def test_row_dimension_error_reports_index():
@@ -300,16 +304,13 @@ def test_efficiency_on_random_ensembles(rng):
         groups = random_partition(rng, n_features, int(rng.integers(1, n_features + 1)))
         grouping = FeatureGrouping(groups, n_features)
         X = rng.uniform(size=(6, n_features))
-        shap = tree_group_shap(model, X, grouping)
-        np.testing.assert_allclose(
-            shap.values.sum(axis=1) + shap.base_values,
-            model.predict_many(X),
-            atol=1e-8,
-        )
-        phi = exact_group_shapley(model, X[0], grouping)
-        assert phi.sum() + base_value(model) == pytest.approx(
-            model.predict(X[0]), abs=1e-8
-        )
+        for explain in (tree_group_shap, exact_group_shapley):
+            shap = explain(model, X, grouping)
+            np.testing.assert_allclose(
+                shap.values.sum(axis=1) + shap.base_values,
+                model.predict_many(X),
+                atol=1e-8,
+            )
 
 
 def test_null_group_gets_zero(rng):
@@ -321,7 +322,7 @@ def test_null_group_gets_zero(rng):
     )
     grouping = FeatureGrouping([("used", [0, 1]), ("unused", [2])], 3)
     x = [0.9, 0.1, 0.5]
-    assert exact_group_shapley(model, x, grouping)[1] == 0.0
+    assert exact_group_shapley(model, x, grouping).values[0, 1] == 0.0
     assert tree_group_shap(model, [x], grouping).values[0, 1] == 0.0
 
 
@@ -330,7 +331,7 @@ def test_stump_ensembles_make_path_attribution_exact(rng):
         x = rng.uniform(size=model.n_features)
         np.testing.assert_allclose(
             tree_group_shap(model, [x], grouping).values[0],
-            exact_group_shapley(model, x, grouping),
+            exact_group_shapley(model, x, grouping).values[0],
             atol=1e-9,
         )
 
@@ -355,8 +356,8 @@ def test_linearity_over_ensemble_concatenation(rng):
     grouping = FeatureGrouping([("g0", [0, 1]), ("g1", [2])], n_features)
     x = rng.uniform(size=n_features)
     np.testing.assert_allclose(
-        exact_group_shapley(both, x, grouping),
-        exact_group_shapley(a, x, grouping) + exact_group_shapley(b, x, grouping),
+        exact_group_shapley(both, x, grouping).values,
+        exact_group_shapley(a, x, grouping).values + exact_group_shapley(b, x, grouping).values,
         atol=1e-10,
     )
 

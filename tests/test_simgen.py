@@ -87,9 +87,9 @@ def test_generate_is_deterministic():
     spec = SimSpec(model="skewed", K=7, S=20, rho=0.4, seed=99)
     a = generate(spec, 5)
     b = generate(spec, 5)
-    np.testing.assert_array_equal(a.phi, b.phi)
+    np.testing.assert_array_equal(a, b)
     c = generate(spec, 6)
-    assert not np.array_equal(a.phi, c.phi)
+    assert not np.array_equal(a, c)
 
 
 def test_generate_matches_matrix_root_application():
@@ -97,8 +97,9 @@ def test_generate_matches_matrix_root_application():
                    alternative="sparse", seed=11)
     sample = generate(spec, 3)
     z = draw_z(spec.model, spec.S, spec.K, replication_rng(spec.seed, 3))
-    expected = sample.mu + z @ covariance_root(spec.K, spec.rho, spec.sigma2)
-    np.testing.assert_allclose(sample.phi, expected, atol=1e-10)
+    mu = alternative_mu(spec.alternative, spec.K, spec.S)
+    expected = mu + z @ covariance_root(spec.K, spec.rho, spec.sigma2)
+    np.testing.assert_allclose(sample, expected, atol=1e-10)
 
 
 @pytest.mark.parametrize("model", ["normal", "symmetric", "skewed"])
@@ -108,26 +109,27 @@ def test_block_rows_are_the_single_replications(model):
     for seed in (4, 2**63 + 7, 2**64 - 1):
         spec = SimSpec(model=model, K=6, S=15, rho=0.3, alternative="dense", seed=seed)
         block = generate(spec, 3, 10)
-        assert block.phi.shape == (7, 15, 6)
+        assert block.shape == (7, 15, 6)
+        mu = alternative_mu(spec.alternative, spec.K, spec.S)
         for i in range(7):
             z = draw_z(spec.model, spec.S, spec.K, replication_rng(spec.seed, 3 + i))
             s_small = math.sqrt(spec.sigma2 * (1.0 - spec.rho))
             s_big = math.sqrt(spec.sigma2 * (1.0 - spec.rho + spec.rho * spec.K))
-            one = block.mu + (s_small * z + (s_big - s_small) / spec.K * z.sum(axis=1, keepdims=True))
-            assert np.array_equal(block.phi[i], one)
-            assert np.array_equal(block.phi[i], generate(spec, 3 + i).phi)
+            one = mu + (s_small * z + (s_big - s_small) / spec.K * z.sum(axis=1, keepdims=True))
+            assert np.array_equal(block[i], one)
+            assert np.array_equal(block[i], generate(spec, 3 + i))
 
 
 def test_generate_null_column_means_near_zero():
     spec = SimSpec(model="normal", K=3, S=100, rho=0.5, seed=5)
-    pooled = np.vstack([generate(spec, r).phi for r in range(100)])
+    pooled = np.vstack([generate(spec, r) for r in range(100)])
     se = 2.0 / math.sqrt(pooled.shape[0])  # per-column sd = sigma = 2
     assert np.abs(pooled.mean(axis=0)).max() <= 4 * se * math.sqrt(1 + 0.5 * 2)
 
 
 def test_pooled_covariance_reconstructs_sigma():
     spec = SimSpec(model="normal", K=4, S=1000, rho=0.5, seed=17)
-    pooled = np.vstack([generate(spec, r).phi for r in range(1000)])
+    pooled = np.vstack([generate(spec, r) for r in range(1000)])
     target = 4.0 * ((1 - 0.5) * np.eye(4) + 0.5)
     sample = np.cov(pooled, rowvar=False)
     assert np.abs(sample / target - 1.0).max() <= 0.02

@@ -176,14 +176,13 @@ def test_presorted_values_stay_aligned_with_order_through_tied_partitions(tmp_pa
 
 def test_predict_empty_ensemble_returns_base():
     model = TreeEnsemble(trees=[], n_features=2, base_score=1.75)
-    assert model.predict([0.1, 0.9]) == 1.75
+    assert model.predict_many([0.1, 0.9]).tolist() == [1.75]
 
 
 def test_predict_follows_stump_path():
     model = TreeEnsemble(trees=[stump(0, 0.5, 1.0, 2.0)], n_features=1, base_score=0.0)
-    assert model.predict([0.2]) == 1.0
-    assert model.predict([0.5]) == 1.0  # ties go left
-    assert model.predict([0.7]) == 2.0
+    # ties go left
+    assert model.predict_many([[0.2], [0.5], [0.7]]).tolist() == [1.0, 1.0, 2.0]
 
 
 def test_descend_walks_each_row_one_level_at_a_time():
@@ -332,12 +331,20 @@ def test_tree_that_is_not_one_tree_is_refused_at_construction(case):
     assert isinstance(err.value, TreeShapeError) and err.value.node == node
 
 
-def test_tree_whose_root_has_a_parent_is_refused_at_construction():
-    with pytest.raises(ValueError, match="only parentless node") as err:
-        Tree(feature=[0, LEAF, LEAF], threshold=[0.5, math.nan, math.nan],
-             left=[1, LEAF, LEAF], right=[2, LEAF, LEAF], value=[0.0] * 3, cover=[1.0] * 3,
-             root=1)
-    assert err.value.node == 0
+def test_hand_built_tree_whose_root_is_not_node_0(tmp_path):
+    # node 2, the one parentless node, splits into leaves 0 and 1
+    t = Tree(feature=[LEAF, LEAF, 0], threshold=[math.nan, math.nan, 0.5],
+             left=[LEAF, LEAF, 0], right=[LEAF, LEAF, 1], value=[1.0, 2.0, 1.5],
+             cover=[1.0, 1.0, 2.0])
+    assert (t.root, t.depth) == (2, 1)
+    model = TreeEnsemble([t], 1, 0.25)
+    assert model.predict_many([[0.2], [0.7]]).tolist() == [1.25, 2.25]
+    save_model(model, tmp_path / "a.model")
+    loaded = load_model(tmp_path / "a.model")
+    assert loaded.trees[0].root == 2
+    assert loaded.predict_many([[0.2], [0.7]]).tolist() == [1.25, 2.25]
+    save_model(loaded, tmp_path / "b.model")
+    assert (tmp_path / "a.model").read_bytes() == (tmp_path / "b.model").read_bytes()
 
 
 # Stumps that are one tree but not a valid one, each as edits (field, node,
@@ -444,21 +451,21 @@ def test_ensemble_is_frozen_with_a_tuple_of_trees():
 def test_predict_is_deterministic_and_shape_checked(rng):
     model = random_ensemble(rng, 4, 5, 3)
     x = rng.uniform(size=4)
-    assert model.predict(x) == model.predict(x)
+    assert model.predict_many(x).tobytes() == model.predict_many(x).tobytes()
     with pytest.raises(ShapeError):
-        model.predict(x[:3])
+        model.predict_many(x[:3])
     with pytest.raises(ShapeError):
         model.predict_many(rng.uniform(size=(5, 3)))
 
 
 _GROUPING = FeatureGrouping.singletons(3)
-# every entry point that takes a feature matrix, and each kind of bad matrix
+# every entry point that takes a feature matrix, as its call and its result
+# per row, and each kind of bad matrix
 _MATRIX_ENTRY_POINTS = {
-    "predict": lambda m, X: m.predict(X),
     "predict_many": lambda m, X: m.predict_many(X),
     "value_function": lambda m, X: value_function(m, X, [0, 2]),
-    "exact_group_shapley": lambda m, X: exact_group_shapley(m, X, _GROUPING),
-    "tree_group_shap": lambda m, X: tree_group_shap(m, X, _GROUPING),
+    "exact_group_shapley": lambda m, X: exact_group_shapley(m, X, _GROUPING).values,
+    "tree_group_shap": lambda m, X: tree_group_shap(m, X, _GROUPING).values,
 }
 _BAD_MATRICES = {
     "ragged": [[0.1, 0.2, 0.3], [0.4, 0.5]],
@@ -472,9 +479,12 @@ _BAD_MATRICES = {
 @pytest.mark.parametrize("entry", sorted(_MATRIX_ENTRY_POINTS))
 @pytest.mark.parametrize("bad", sorted(_BAD_MATRICES))
 def test_every_feature_matrix_entry_point_rejects_bad_matrices(rng, entry, bad):
-    model = random_ensemble(rng, 3, 4, 3)
+    model, call = random_ensemble(rng, 3, 4, 3), _MATRIX_ENTRY_POINTS[entry]
+    # a feature vector is one row, with the bits it has in a matrix
+    X = rng.uniform(size=(2, 3))
+    assert call(model, X[0]).tobytes() == call(model, X)[:1].tobytes()
     with pytest.raises(ShapeError):
-        _MATRIX_ENTRY_POINTS[entry](model, _BAD_MATRICES[bad])
+        call(model, _BAD_MATRICES[bad])
 
 
 def test_missing_target_raises():
@@ -577,8 +587,7 @@ def test_load_hand_written_stump(tmp_path):
     path.write_text(json.dumps(_stump_doc()))
     model = load_model(path)
     # hand evaluation: base 0.5 plus the leaf picked on feature v
-    assert model.predict([9.9, 0.1]) == pytest.approx(1.5)
-    assert model.predict([9.9, 0.9]) == pytest.approx(3.5)
+    np.testing.assert_allclose(model.predict_many([[9.9, 0.1], [9.9, 0.9]]), [1.5, 3.5])
 
 
 def test_load_rejects_cover_mismatch(tmp_path):
@@ -762,7 +771,7 @@ def test_leaf_only_tree_round_trip(tmp_path):
     model = TreeEnsemble(trees=[leaf_tree(0.0, 33)], n_features=1, base_score=2.0)
     path = tmp_path / "leaf.model"
     save_model(model, path)
-    assert load_model(path).predict([0.123]) == 2.0
+    assert load_model(path).predict_many([0.123]).tolist() == [2.0]
 
 
 # --------------------------------------------------------------------------
